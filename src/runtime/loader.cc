@@ -243,25 +243,24 @@ std::unique_ptr<LoadedProgram> LoadBinary(Binary bin, const LoadOptions& opts,
   }
 
   // 5. Pre-decode.
-  prog->decoded.resize(bin.code.size());
-  size_t idx = 0;
-  while (idx < bin.code.size()) {
-    uint32_t consumed = 1;
-    auto in = Decode(bin.code, idx, &consumed);
-    if (in.has_value()) {
-      prog->decoded[idx] = {std::move(in), consumed};
-      for (uint32_t k = 1; k < consumed; ++k) {
-        prog->decoded[idx + k] = {std::nullopt, 1};
-      }
-      idx += consumed;
-    } else {
-      prog->decoded[idx] = {std::nullopt, 1};
-      ++idx;
-    }
-  }
+  prog->decoded = DecodeSlots(bin.code);
 
   prog->binary = std::move(bin);
   return prog;
+}
+
+std::vector<DecodedSlot> DecodeSlots(const std::vector<uint64_t>& code) {
+  std::vector<DecodedSlot> slots(code.size());
+  size_t idx = 0;
+  while (idx < code.size()) {
+    uint32_t consumed = 1;
+    slots[idx].instr = Decode(code, idx, &consumed);
+    if (slots[idx].instr.has_value()) {
+      slots[idx].words = consumed;
+    }
+    idx += slots[idx].words;
+  }
+  return slots;
 }
 
 }  // namespace confllvm

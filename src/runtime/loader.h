@@ -5,7 +5,9 @@
 #ifndef CONFLLVM_SRC_RUNTIME_LOADER_H_
 #define CONFLLVM_SRC_RUNTIME_LOADER_H_
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "src/support/diag.h"
 #include "src/vm/program.h"
@@ -21,6 +23,12 @@ struct LoadOptions {
 // Takes ownership of `bin`; returns nullptr (with diags) on failure.
 std::unique_ptr<LoadedProgram> LoadBinary(Binary bin, const LoadOptions& opts,
                                           DiagEngine* diags);
+
+// Pre-decodes a code image into one slot per word, walking from word 0: the
+// slots every VM engine executes and ConfVerify checks. Continuation words
+// of a multi-word instruction and words that do not decode (magic, data)
+// get an empty one-word slot.
+std::vector<DecodedSlot> DecodeSlots(const std::vector<uint64_t>& code);
 
 }  // namespace confllvm
 

@@ -62,7 +62,7 @@ bool ConfccdClient::Call(Json req, Json* resp, std::string* err) {
   // protocol honest about its id field.
   while (true) {
     std::string payload;
-    if (!ReadFrame(fd_, &payload, max_frame_bytes_)) {
+    if (ReadFrame(fd_, &payload, max_frame_bytes_) != FrameRead::kOk) {
       *err = "connection closed by daemon";
       Close();
       return false;

@@ -470,8 +470,10 @@ bool Json::Parse(const std::string& text, Json* out, std::string* err) {
 
 namespace {
 
-bool ReadExact(int fd, void* buf, size_t n) {
+// kEof only when the peer closed before the first byte arrived.
+FrameRead ReadExact(int fd, void* buf, size_t n) {
   uint8_t* p = static_cast<uint8_t*>(buf);
+  const size_t want = n;
   while (n > 0) {
     const ssize_t r = ::read(fd, p, n);
     if (r > 0) {
@@ -482,9 +484,9 @@ bool ReadExact(int fd, void* buf, size_t n) {
     if (r < 0 && errno == EINTR) {
       continue;
     }
-    return false;  // EOF or hard error
+    return r == 0 && n == want ? FrameRead::kEof : FrameRead::kBad;
   }
-  return true;
+  return FrameRead::kOk;
 }
 
 bool WriteExact(int fd, const void* buf, size_t n) {
@@ -507,20 +509,24 @@ bool WriteExact(int fd, const void* buf, size_t n) {
 
 }  // namespace
 
-bool ReadFrame(int fd, std::string* payload, size_t max_bytes) {
+FrameRead ReadFrame(int fd, std::string* payload, size_t max_bytes) {
   uint8_t hdr[4];
-  if (!ReadExact(fd, hdr, sizeof hdr)) {
-    return false;
+  const FrameRead h = ReadExact(fd, hdr, sizeof hdr);
+  if (h != FrameRead::kOk) {
+    return h;
   }
   const uint32_t len = static_cast<uint32_t>(hdr[0]) |
                        static_cast<uint32_t>(hdr[1]) << 8 |
                        static_cast<uint32_t>(hdr[2]) << 16 |
                        static_cast<uint32_t>(hdr[3]) << 24;
   if (len > max_bytes) {
-    return false;
+    return FrameRead::kBad;
   }
   payload->resize(len);
-  return len == 0 || ReadExact(fd, &(*payload)[0], len);
+  // EOF after the header is a torn frame, not a goodbye.
+  return (len == 0 || ReadExact(fd, &(*payload)[0], len) == FrameRead::kOk)
+             ? FrameRead::kOk
+             : FrameRead::kBad;
 }
 
 bool WriteFrame(int fd, const std::string& payload) {

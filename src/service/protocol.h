@@ -98,8 +98,13 @@ class Json {
 // MSG_NOSIGNAL so a peer that vanished mid-response surfaces as an error
 // return, never a fatal SIGPIPE in the daemon.
 
-// False on EOF, I/O error, or a declared length exceeding `max_bytes`.
-bool ReadFrame(int fd, std::string* payload, size_t max_bytes);
+enum class FrameRead {
+  kOk,
+  kEof,  // the peer closed cleanly before a frame header: a normal goodbye
+  kBad,  // torn frame, declared length exceeding `max_bytes`, or I/O error
+};
+
+FrameRead ReadFrame(int fd, std::string* payload, size_t max_bytes);
 
 // False when the peer is gone or the payload exceeds the 32-bit length field.
 bool WriteFrame(int fd, const std::string& payload);

@@ -121,6 +121,12 @@ ConfccdServer::ConfccdServer(Options opts)
 
 ConfccdServer::~ConfccdServer() { Stop(); }
 
+ConfccdServer::Connection::~Connection() {
+  if (fd >= 0) {
+    ::close(fd);
+  }
+}
+
 bool ConfccdServer::Start(std::string* err) {
   if (!opts_.cache_dir.empty() &&
       !cache_.AttachDiskTier({opts_.cache_dir, opts_.cache_disk_bytes})) {
@@ -198,7 +204,7 @@ void ConfccdServer::Stop() {
   sched_.Stop();
 
   // 3. Sever every connection (unblocks readers) and join the readers. The
-  // fds themselves close when the last shared_ptr drops.
+  // fds themselves close when the last shared_ptr drops (~Connection).
   std::vector<std::shared_ptr<Connection>> conns;
   std::vector<std::thread> readers;
   {
@@ -280,10 +286,11 @@ void ConfccdServer::SendResponse(const std::shared_ptr<Connection>& conn,
 void ConfccdServer::ReaderLoop(std::shared_ptr<Connection> conn) {
   while (running_.load() && conn->open.load()) {
     std::string payload;
-    if (!ReadFrame(conn->fd, &payload, opts_.max_frame_bytes)) {
-      if (conn->open.load() && running_.load()) {
-        // EOF is the normal goodbye; an oversized frame also lands here —
-        // either way this connection is done.
+    const FrameRead fr = ReadFrame(conn->fd, &payload, opts_.max_frame_bytes);
+    if (fr != FrameRead::kOk) {
+      // A clean EOF between frames is the normal goodbye; a torn or
+      // oversized frame is counted. Either way this connection is done.
+      if (fr == FrameRead::kBad && conn->open.load() && running_.load()) {
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.bad_frames;
       }

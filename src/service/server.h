@@ -104,6 +104,7 @@ class ConfccdServer {
 
  private:
   struct Connection {
+    ~Connection();  // closes fd: the last reader/worker reference is gone
     int fd = -1;
     std::string default_client;  // "conn-<n>" when requests omit `client`
     std::mutex write_mu;

@@ -1,9 +1,7 @@
 #include "src/verifier/verifier.h"
 
 #include <algorithm>
-#include <map>
 #include <optional>
-#include <set>
 
 #include "src/isa/layout.h"
 #include "src/support/strings.h"
@@ -59,9 +57,15 @@ struct RegState {
   }
 };
 
+// Stands in for the instruction of an MRet return-site word: op kInvalid
+// matches none of the opcode tests in the pattern scans.
+const MInstr kReturnSite{};
+
+// One instruction of a procedure in layout order: the loader's decoded slot
+// at `word` (what every VM engine executes), or an MRet return-site word.
 struct ProcInstr {
   uint32_t word = 0;   // absolute code word index
-  MInstr mi;
+  const MInstr* mi = &kReturnSite;  // points into LoadedProgram::decoded
   bool is_ret_site_magic = false;  // the MRet word after a call
   uint8_t site_taints = 0;
 };
@@ -70,10 +74,12 @@ struct Proc {
   uint32_t entry_word = 0;
   uint8_t magic_taints = 0;
   std::vector<ProcInstr> instrs;  // in layout order
-  std::map<uint32_t, size_t> index_of_word;
   bool has_chkstk = false;
   uint32_t end_word = 0;  // one past the last word
 };
+
+// Marks a word that starts no procedure instruction.
+constexpr uint32_t kNoInstr = ~0u;
 
 class VerifierImpl {
  public:
@@ -84,12 +90,19 @@ class VerifierImpl {
       Err(0, "binary lacks full ConfLLVM instrumentation (CFI + bounds scheme)");
       return Finish();
     }
+    // The walk below checks the decoded slots the VM executes; a slot table
+    // that does not cover the code image word for word cannot be trusted.
+    if (prog_.decoded.size() != bin_.code.size()) {
+      Err(0, StrFormat("decoded image has %zu slots for %zu code words",
+                       prog_.decoded.size(), bin_.code.size()));
+      return Finish();
+    }
     DiscoverProcedures();
     if (!result_.errors.empty()) {
       return Finish();
     }
     CheckMagicUniqueness();
-    for (Proc& p : procs_) {
+    for (const Proc& p : procs_) {
       CheckProcedure(&p);
     }
     return Finish();
@@ -118,7 +131,10 @@ class VerifierImpl {
   void DiscoverProcedures() {
     // Procedure entries are the words following MCall magic values. The
     // exit stubs appended by the loader live after all procedures; we stop
-    // each procedure at the next MCall magic or at an exit stub.
+    // each procedure at the next MCall magic or at an exit stub. Magic words
+    // are read raw (kLoadCode compares raw words at run time); instructions
+    // come from the loader's decoded slots, which are what the VM runs.
+    index_of_word_.assign(bin_.code.size(), kNoInstr);
     std::vector<uint32_t> entries;
     for (uint32_t w = 0; w < bin_.code.size(); ++w) {
       if (IsCallMagic(bin_.code[w])) {
@@ -144,31 +160,22 @@ class VerifierImpl {
         if (IsRetMagic(bin_.code[w])) {
           // Valid return site (must immediately follow a call; checked in
           // the dataflow stage).
-          ProcInstr pi;
-          pi.word = w;
-          pi.is_ret_site_magic = true;
-          pi.site_taints = MagicTaintsOf(bin_.code[w]);
-          p.index_of_word[w] = p.instrs.size();
-          p.instrs.push_back(pi);
+          index_of_word_[w] = static_cast<uint32_t>(p.instrs.size());
+          p.instrs.push_back({w, &kReturnSite, true, MagicTaintsOf(bin_.code[w])});
           ++w;
           continue;
         }
-        uint32_t consumed = 1;
-        auto mi = Decode(bin_.code, w, &consumed);
-        if (!mi.has_value()) {
+        const DecodedSlot& slot = prog_.decoded[w];
+        if (!slot.instr.has_value() || slot.words != slot.instr->NumWords()) {
           Err(w, "disassembly failed inside procedure");
           return;
         }
-        payload_words_ += consumed - 1;
-        ProcInstr pi;
-        pi.word = w;
-        pi.mi = *mi;
-        p.index_of_word[w] = p.instrs.size();
-        p.instrs.push_back(pi);
-        if (mi->op == Op::kChkstk) {
+        index_of_word_[w] = static_cast<uint32_t>(p.instrs.size());
+        p.instrs.push_back({w, &*slot.instr});
+        if (slot.instr->op == Op::kChkstk) {
           p.has_chkstk = true;
         }
-        w += consumed;
+        w += slot.words;
       }
       procs_.push_back(std::move(p));
     }
@@ -177,21 +184,15 @@ class VerifierImpl {
   void CheckMagicUniqueness() {
     // Every magic-prefixed word must be a procedure-entry MCall, a decoded
     // MRet return site, or a loader exit stub. Anything else means the
-    // prefix also appears as data — the assumption of §4 is violated.
-    std::set<uint32_t> legit;
-    for (const Proc& p : procs_) {
-      legit.insert(p.entry_word - 1);
-      for (const ProcInstr& pi : p.instrs) {
-        if (pi.is_ret_site_magic) {
-          legit.insert(pi.word);
-        }
-      }
-    }
-    legit.insert(prog_.exit_stub_word[0]);
-    legit.insert(prog_.exit_stub_word[1]);
+    // prefix also appears as data — the assumption of §4 is violated. Every
+    // MCall word opens a procedure, and an MRet word is a return site
+    // exactly when the procedure walk started an instruction there.
     for (uint32_t w = 0; w < bin_.code.size(); ++w) {
       const uint64_t v = bin_.code[w];
-      if ((IsCallMagic(v) || IsRetMagic(v)) && legit.count(w) == 0) {
+      const bool legit = IsCallMagic(v) || index_of_word_[w] != kNoInstr ||
+                         w == prog_.exit_stub_word[0] ||
+                         w == prog_.exit_stub_word[1];
+      if (IsRetMagic(v) && !legit) {
         Err(w, "magic prefix appears outside a legitimate site");
       }
     }
@@ -199,37 +200,34 @@ class VerifierImpl {
 
   // ---- stage 2: per-procedure dataflow & checks ----
 
-  struct Analysis {
-    Proc* p;
-    std::vector<size_t> leaders;             // instruction indices
-    std::map<size_t, RegState> block_in;     // by leader index
-  };
-
+  // Bounds-checks an untrusted jump immediate before it indexes the table.
   bool InProc(const Proc& p, uint32_t word) const {
     return word >= p.entry_word && word < p.end_word &&
-           p.index_of_word.count(word) != 0;
+           index_of_word_[word] != kNoInstr;
   }
 
-  void CheckProcedure(Proc* p) {
+  void CheckProcedure(const Proc* p) {
     // Block leaders: entry + jump targets + instruction after any branch,
-    // call return-site, or terminator.
-    std::set<size_t> leaders;
-    leaders.insert(0);
-    for (size_t i = 0; i < p->instrs.size(); ++i) {
+    // call return-site, or terminator. Per-instruction tables carry one
+    // extra slot so an empty procedure still has its entry leader.
+    const size_t n = p->instrs.size();
+    std::vector<uint8_t> leaders(n + 1, 0);
+    leaders[0] = 1;
+    for (size_t i = 0; i < n; ++i) {
       const ProcInstr& pi = p->instrs[i];
       if (pi.is_ret_site_magic) {
         continue;
       }
-      const Op op = pi.mi.op;
+      const Op op = pi.mi->op;
       if (op == Op::kJmp || op == Op::kJnz || op == Op::kJz) {
-        const uint32_t target = static_cast<uint32_t>(pi.mi.imm);
+        const uint32_t target = static_cast<uint32_t>(pi.mi->imm);
         if (!InProc(*p, target)) {
           Err(pi.word, "jump target outside the procedure");
           return;
         }
-        leaders.insert(p->index_of_word[target]);
-        if (i + 1 < p->instrs.size()) {
-          leaders.insert(i + 1);
+        leaders[index_of_word_[target]] = 1;
+        if (i + 1 < n) {
+          leaders[i + 1] = 1;
         }
       }
       if (op == Op::kRet) {
@@ -238,34 +236,33 @@ class VerifierImpl {
       }
     }
 
-    // Worklist dataflow across blocks.
-    std::map<size_t, RegState> in_state;
-    in_state[0] = RegState::Entry(p->magic_taints);
-    std::vector<size_t> work{0};
-    std::set<size_t> visited;
-    while (!work.empty()) {
-      const size_t leader = work.back();
-      work.pop_back();
-      visited.insert(leader);
-      RegState s = in_state.at(leader);
+    // Worklist dataflow across blocks (LIFO; a leader is re-pushed each
+    // time its in-state grows).
+    in_state_.assign(n + 1, std::nullopt);
+    in_state_[0] = RegState::Entry(p->magic_taints);
+    work_.assign(1, 0);
+    while (!work_.empty()) {
+      const size_t leader = work_.back();
+      work_.pop_back();
+      RegState s = *in_state_[leader];
       size_t i = leader;
       bool fell_off = true;
-      while (i < p->instrs.size()) {
-        if (i != leader && leaders.count(i) != 0) {
+      while (i < n) {
+        if (i != leader && leaders[i] != 0) {
           // Fall into the next block.
-          Propagate(p, &in_state, &work, i, s);
+          Propagate(i, s);
           fell_off = false;
           break;
         }
         int next_delta = 1;
-        const bool cont = Transfer(p, i, &s, &in_state, &work, leaders, &next_delta);
+        const bool cont = Transfer(p, i, &s, &next_delta);
         if (!cont) {
           fell_off = false;
           break;
         }
         i += next_delta;
       }
-      if (fell_off && i >= p->instrs.size()) {
+      if (fell_off && i >= n) {
         Err(p->entry_word, "control can fall off the end of the procedure");
         return;
       }
@@ -274,23 +271,22 @@ class VerifierImpl {
         return;  // avoid error floods
       }
     }
-    result_.instructions += p->instrs.size();
+    result_.instructions += n;
   }
 
-  void Propagate(Proc* p, std::map<size_t, RegState>* in_state,
-                 std::vector<size_t>* work, size_t leader, const RegState& s) {
-    auto it = in_state->find(leader);
-    if (it == in_state->end()) {
-      (*in_state)[leader] = s;
-      work->push_back(leader);
-    } else if (it->second.MergeFrom(s)) {
-      work->push_back(leader);
+  void Propagate(size_t leader, const RegState& s) {
+    std::optional<RegState>& in = in_state_[leader];
+    if (!in.has_value()) {
+      in = s;
+      work_.push_back(leader);
+    } else if (in->MergeFrom(s)) {
+      work_.push_back(leader);
     }
   }
 
   // Returns the taint/region of a memory operand if the access is properly
   // guarded at instruction index i, or nullopt with an error.
-  std::optional<T> GuardedRegion(Proc* p, size_t i, const MInstr& mi) {
+  std::optional<T> GuardedRegion(const Proc* p, size_t i, const MInstr& mi) {
     const MemOperand& m = mi.mem;
     if (bin_.scheme == Scheme::kSeg) {
       if (m.seg == Seg::kNone) {
@@ -337,29 +333,29 @@ class VerifierImpl {
       if (prev.is_ret_site_magic) {
         break;  // a call site ends the window
       }
-      const Op op = prev.mi.op;
+      const Op op = prev.mi->op;
       if (op == Op::kCall || op == Op::kICall || op == Op::kCallExt) {
         break;
       }
       // A redefinition of the base (or index) register kills prior checks.
-      if (WritesReg(prev.mi, m.base) ||
-          (m.index != kNoMReg && WritesReg(prev.mi, m.index))) {
+      if (WritesReg(*prev.mi, m.base) ||
+          (m.index != kNoMReg && WritesReg(*prev.mi, m.index))) {
         break;
       }
       const bool reg_form = (op == Op::kBndclR || op == Op::kBndcuR) &&
-                            prev.mi.rs1 == m.base && m.index == kNoMReg &&
+                            prev.mi->rs1 == m.base && m.index == kNoMReg &&
                             std::llabs(m.disp) <
                                 static_cast<long long>(kMpxGuardDispLimit);
       const bool mem_form = (op == Op::kBndclM || op == Op::kBndcuM) &&
-                            prev.mi.mem.base == m.base &&
-                            prev.mi.mem.index == m.index &&
-                            prev.mi.mem.disp == m.disp &&
-                            prev.mi.mem.scale_log2 == m.scale_log2;
+                            prev.mi->mem.base == m.base &&
+                            prev.mi->mem.index == m.index &&
+                            prev.mi->mem.disp == m.disp &&
+                            prev.mi->mem.scale_log2 == m.scale_log2;
       if (reg_form || mem_form) {
         if (bnd == -1) {
-          bnd = prev.mi.bnd;
+          bnd = prev.mi->bnd;
         }
-        if (prev.mi.bnd == bnd) {
+        if (prev.mi->bnd == bnd) {
           saw_lower = saw_lower || op == Op::kBndclR || op == Op::kBndclM;
           saw_upper = saw_upper || op == Op::kBndcuR || op == Op::kBndcuM;
         }
@@ -436,15 +432,13 @@ class VerifierImpl {
 
   // Transfer function for one instruction; updates s, pushes successor
   // blocks. Returns false if control does not continue to i+delta.
-  bool Transfer(Proc* p, size_t i, RegState* s, std::map<size_t, RegState>* in_state,
-                std::vector<size_t>* work, const std::set<size_t>& leaders,
-                int* next_delta) {
+  bool Transfer(const Proc* p, size_t i, RegState* s, int* next_delta) {
     const ProcInstr& pi = p->instrs[i];
     if (pi.is_ret_site_magic) {
       Err(pi.word, "return-site magic not immediately after a call");
       return false;
     }
-    const MInstr& mi = pi.mi;
+    const MInstr& mi = *pi.mi;
     auto& r = s->r;
     switch (mi.op) {
       case Op::kMovImm:
@@ -578,19 +572,17 @@ class VerifierImpl {
       case Op::kPop:
         r[mi.rd] = T::kL;
         return true;
-      case Op::kJmp: {
-        const size_t target = p->index_of_word.at(static_cast<uint32_t>(mi.imm));
-        Propagate(p, in_state, work, target, *s);
+      case Op::kJmp:
+        // The leader pass bounds-checked every jump target of this procedure.
+        Propagate(index_of_word_[static_cast<uint32_t>(mi.imm)], *s);
         return false;
-      }
       case Op::kJnz:
       case Op::kJz: {
         if (!Le(r[mi.rd], T::kL)) {
           Err(pi.word, "branch on a private value (implicit flow)");
           return false;
         }
-        const size_t target = p->index_of_word.at(static_cast<uint32_t>(mi.imm));
-        Propagate(p, in_state, work, target, *s);
+        Propagate(index_of_word_[static_cast<uint32_t>(mi.imm)], *s);
         *next_delta = 1;
         return true;  // fall-through continues
       }
@@ -627,7 +619,7 @@ class VerifierImpl {
     }
   }
 
-  bool CheckCallTaints(Proc* p, size_t i, const RegState& s, uint8_t callee_bits) {
+  bool CheckCallTaints(const Proc* p, size_t i, const RegState& s, uint8_t callee_bits) {
     for (int a = 0; a < 4; ++a) {
       const T expected = ((callee_bits >> a) & 1) != 0 ? T::kH : T::kL;
       if (!Le(s.r[kRegArg0 + a], expected)) {
@@ -654,8 +646,8 @@ class VerifierImpl {
     s->r[kRegRet] = ret_bit != 0 ? T::kH : T::kL;
   }
 
-  bool CheckDirectCall(Proc* p, size_t i, RegState* s, int* next_delta) {
-    const MInstr& mi = p->instrs[i].mi;
+  bool CheckDirectCall(const Proc* p, size_t i, RegState* s, int* next_delta) {
+    const MInstr& mi = *p->instrs[i].mi;
     const uint32_t target = static_cast<uint32_t>(mi.imm);
     if (target == 0 || target > bin_.code.size() ||
         !IsCallMagic(bin_.code[target - 1])) {
@@ -683,8 +675,8 @@ class VerifierImpl {
     return true;
   }
 
-  bool CheckTrustedCall(Proc* p, size_t i, RegState* s) {
-    const MInstr& mi = p->instrs[i].mi;
+  bool CheckTrustedCall(const Proc* p, size_t i, RegState* s) {
+    const MInstr& mi = *p->instrs[i].mi;
     const uint32_t idx = static_cast<uint32_t>(mi.imm);
     if (idx >= bin_.imports.size()) {
       Err(p->instrs[i].word, "trusted call to unknown import slot");
@@ -703,8 +695,8 @@ class VerifierImpl {
   //   addimm scr2, rt, -8 ; loadcode scr2, scr2 ; movimm64 scr1, ~magic ;
   //   not scr1 ; cmp.ne scr2, scr2, scr1 ; jnz scr2, trap ; [pop rt] ;
   //   icall rt
-  bool CheckIndirectCall(Proc* p, size_t i, RegState* s, int* next_delta) {
-    const MInstr& icall = p->instrs[i].mi;
+  bool CheckIndirectCall(const Proc* p, size_t i, RegState* s, int* next_delta) {
+    const MInstr& icall = *p->instrs[i].mi;
     const uint8_t rt = icall.rs1;
     if (!Le(s->r[rt], T::kL)) {
       Err(p->instrs[i].word, "indirect call through a private register");
@@ -723,17 +715,15 @@ class VerifierImpl {
       if (prev.is_ret_site_magic) {
         break;
       }
-      const Op op = prev.mi.op;
+      const Op op = prev.mi->op;
       if (op == Op::kMovImm64 && !found_imm) {
-        expected = ~static_cast<uint64_t>(prev.mi.imm64);
+        expected = ~static_cast<uint64_t>(prev.mi->imm64);
         found_imm = true;
-      } else if (op == Op::kCmp && prev.mi.cc == Cond::kNe) {
+      } else if (op == Op::kCmp && prev.mi->cc == Cond::kNe) {
         found_cmp = true;
       } else if (op == Op::kJnz && !found_jnz) {
-        const uint32_t t = static_cast<uint32_t>(prev.mi.imm);
-        auto it = p->index_of_word.find(t);
-        found_jnz = it != p->index_of_word.end() &&
-                    p->instrs[it->second].mi.op == Op::kTrap;
+        const uint32_t t = static_cast<uint32_t>(prev.mi->imm);
+        found_jnz = InProc(*p, t) && p->instrs[index_of_word_[t]].mi->op == Op::kTrap;
       } else if (op == Op::kLoadCode) {
         found_loadcode = true;
       } else if (op == Op::kCall || op == Op::kICall || op == Op::kCallExt) {
@@ -771,7 +761,7 @@ class VerifierImpl {
 
   // Pattern: pop r1 ; movimm64 r2, ~(MRet|bit) ; not r2 ; loadcode r3, r1 ;
   //          cmp.ne r3, r3, r2 ; jnz r3, trap ; addimm r1, r1, 8 ; jmpreg r1
-  bool CheckCfiReturn(Proc* p, size_t i, RegState* s) {
+  bool CheckCfiReturn(const Proc* p, size_t i, RegState* s) {
     uint64_t expected = 0;
     bool found_imm = false;
     bool found_cmp = false;
@@ -780,17 +770,15 @@ class VerifierImpl {
     bool found_pop = false;
     const size_t lo = i >= 10 ? i - 10 : 0;
     for (size_t k = i; k-- > lo;) {
-      const Op op = p->instrs[k].mi.op;
+      const Op op = p->instrs[k].mi->op;
       if (op == Op::kMovImm64 && !found_imm) {
-        expected = ~static_cast<uint64_t>(p->instrs[k].mi.imm64);
+        expected = ~static_cast<uint64_t>(p->instrs[k].mi->imm64);
         found_imm = true;
-      } else if (op == Op::kCmp && p->instrs[k].mi.cc == Cond::kNe) {
+      } else if (op == Op::kCmp && p->instrs[k].mi->cc == Cond::kNe) {
         found_cmp = true;
       } else if (op == Op::kJnz && !found_jnz) {
-        const uint32_t t = static_cast<uint32_t>(p->instrs[k].mi.imm);
-        auto it = p->index_of_word.find(t);
-        found_jnz = it != p->index_of_word.end() &&
-                    p->instrs[it->second].mi.op == Op::kTrap;
+        const uint32_t t = static_cast<uint32_t>(p->instrs[k].mi->imm);
+        found_jnz = InProc(*p, t) && p->instrs[index_of_word_[t]].mi->op == Op::kTrap;
       } else if (op == Op::kLoadCode) {
         found_loadcode = true;
       } else if (op == Op::kPop) {
@@ -826,7 +814,13 @@ class VerifierImpl {
   const Binary& bin_;
   VerifyResult result_;
   std::vector<Proc> procs_;
-  size_t payload_words_ = 0;
+  // Binary-wide word -> index of the instruction starting there within its
+  // procedure (procedures cover disjoint word ranges), or kNoInstr.
+  std::vector<uint32_t> index_of_word_;
+  // Per-procedure dataflow state, indexed by instruction; reused across
+  // procedures.
+  std::vector<std::optional<RegState>> in_state_;
+  std::vector<size_t> work_;
 };
 
 }  // namespace

@@ -1,10 +1,14 @@
 // ConfVerify (paper §5.2, Appendix A): a static verifier over the *binary*
 // that re-establishes, without trusting ConfLLVM, that every private-data
 // flow is guarded. It:
-//   1. identifies procedure entries by the MCall magic prefix and
-//      disassembles each procedure, rejecting on any decode failure;
-//   2. re-checks magic uniqueness (every magic-prefixed word is a legit
-//      site);
+//   1. identifies procedure entries by the MCall magic prefix and walks
+//      each procedure over the loader's decoded slots
+//      (LoadedProgram::decoded, what every VM engine executes) — not a
+//      fresh decode of the raw words — rejecting on any slot that holds no
+//      instruction; a slot table that does not cover the code image word
+//      for word fails closed;
+//   2. re-checks magic uniqueness on the raw code words, which kLoadCode
+//      compares at run time (every magic-prefixed word is a legit site);
 //   3. runs a per-procedure register-taint dataflow seeded from the entry
 //      magic's taint bits (unused argument registers and caller-saved
 //      registers conservatively private, callee-saved public);
@@ -42,6 +46,8 @@ struct VerifyResult {
 };
 
 // Verifies a fully-instrumented (CFI + MPX or segmentation) loaded binary.
+// Never cached: every caller (pipeline verify stage, link-time verify,
+// confccd's verified executes) re-runs it on every request.
 VerifyResult Verify(const LoadedProgram& prog);
 
 }  // namespace confllvm

@@ -9,8 +9,8 @@
 // The corpus is real compiler output (several sources × instrumentation
 // presets), mutated by a seeded deterministic Rng: bit flips, byte
 // overwrites, truncations, and appends. Mutants that still deserialize are
-// pushed all the way through load, a short reference-engine execution, and
-// a link against a pristine module.
+// pushed all the way through load, ConfVerify, a short reference-engine
+// execution, and a link against a pristine module.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,6 +24,7 @@
 #include "src/runtime/loader.h"
 #include "src/runtime/trusted.h"
 #include "src/support/rng.h"
+#include "src/verifier/verifier.h"
 #include "src/vm/vm.h"
 
 namespace confllvm {
@@ -133,6 +134,11 @@ void RunMutant(const std::vector<uint8_t>& mutant, BuildPreset preset,
     EXPECT_TRUE(diags.HasErrors());
     return;
   }
+  // ConfVerify indexes its tables with the mutant's untrusted jump and call
+  // immediates: it must return without throwing and explain any rejection.
+  VerifyResult vr;
+  EXPECT_NO_THROW(vr = Verify(*prog));
+  EXPECT_TRUE(vr.ok || !vr.errors.empty());
   // Loaded: a short bounded run must fault or finish, never escape. The
   // reference engine skips the per-mutant ExecImage/flat-memory build the
   // fast tiers pay.

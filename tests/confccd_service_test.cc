@@ -14,6 +14,8 @@
 //     cap before global queue cap, round-robin fairness across tenants;
 //   - a client killed mid-request costs the daemon nothing but a dropped
 //     response — the pool keeps serving;
+//   - connection churn leaks no fds, and a clean disconnect is not a bad
+//     frame;
 //   - under injected service.accept / service.read / service.dispatch
 //     chaos, clients that retry still converge to correct results.
 #include <gtest/gtest.h>
@@ -183,6 +185,25 @@ TEST(ServeSchedulerTest, PerClientCapThenGlobalQueueCap) {
 }
 
 // ---- End-to-end over the socket ----
+
+// A bare protocol-level connection (no ConfccdClient framing discipline);
+// -1 on failure.
+int RawConnect(const std::string& sock) {
+  sockaddr_un addr;
+  memset(&addr, 0, sizeof addr);
+  addr.sun_family = AF_UNIX;
+  if (sock.size() >= sizeof addr.sun_path) {
+    return -1;
+  }
+  memcpy(addr.sun_path, sock.c_str(), sock.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd >= 0 &&
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
 
 class ConfccdServiceTest : public ::testing::Test {
  protected:
@@ -451,15 +472,8 @@ TEST_F(ConfccdServiceTest, KilledClientMidRequestDoesNotPoisonThePool) {
   // A raw connection: send an execute whose guest runs ~300 ms, then
   // vanish before the response.
   {
-    sockaddr_un addr;
-    memset(&addr, 0, sizeof addr);
-    addr.sun_family = AF_UNIX;
-    ASSERT_LT(sock.size(), sizeof addr.sun_path);
-    memcpy(addr.sun_path, sock.c_str(), sock.size() + 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = RawConnect(sock);
     ASSERT_GE(fd, 0);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-              0);
     Json req = Json::Object();
     req.Set("verb", Json::Str("execute"));
     req.Set("client", Json::Str("ghost"));
@@ -491,6 +505,66 @@ TEST_F(ConfccdServiceTest, KilledClientMidRequestDoesNotPoisonThePool) {
       << err;
   EXPECT_EQ(resp.GetString("status"), "ok");
   EXPECT_EQ(resp.GetUInt("ret"), 7u);
+  server->Stop();
+}
+
+// Open file descriptors of this process (the iterator's own fd included,
+// which is the same on every call).
+size_t OpenFdCount() {
+  size_t n = 0;
+  for (const auto& entry : fs::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST_F(ConfccdServiceTest, ConnectionChurnLeaksNoFdsAndCountsOnlyTornFrames) {
+  ConfccdServer::Options opts;
+  opts.sched.num_workers = 1;
+  auto server = StartServer(std::move(opts));
+  const std::string sock = server->options().socket_path;
+  const size_t fds_before = OpenFdCount();
+
+  constexpr uint64_t kCycles = 200;
+  Json ping = Json::Object();
+  ping.Set("verb", Json::Str("ping"));
+  for (uint64_t i = 0; i < kCycles; ++i) {
+    ConfccdClient cli;
+    std::string err;
+    ASSERT_TRUE(cli.Connect(sock, &err)) << err;
+    Json resp;
+    ASSERT_TRUE(cli.Call(ping, &resp, &err)) << err;
+    EXPECT_TRUE(resp.GetBool("pong"));
+  }  // each client disconnects cleanly as it goes out of scope
+
+  // Reader threads see each EOF asynchronously; wait for the teardowns.
+  ConfccdServer::ServerStats stats;
+  size_t fds_after = 0;
+  for (int i = 0; i < 500; ++i) {
+    stats = server->server_stats();
+    fds_after = OpenFdCount();
+    if (stats.connections_closed == kCycles && fds_after == fds_before) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(fds_after, fds_before);
+  EXPECT_EQ(stats.connections_accepted, kCycles);
+  EXPECT_EQ(stats.connections_closed, stats.connections_accepted);
+  EXPECT_EQ(stats.bad_frames, 0u);
+
+  // A torn frame (the header promises 16 bytes, 3 arrive before the peer
+  // closes) is still a bad frame.
+  const int fd = RawConnect(sock);
+  ASSERT_GE(fd, 0);
+  const uint8_t torn[] = {16, 0, 0, 0, '{', '"', 'v'};
+  ASSERT_EQ(::write(fd, torn, sizeof torn), static_cast<ssize_t>(sizeof torn));
+  ::close(fd);
+  for (int i = 0; i < 500 && server->server_stats().bad_frames == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(server->server_stats().bad_frames, 1u);
   server->Stop();
 }
 

@@ -44,24 +44,10 @@ inline void ExpectVerifies(const Session& s, const std::string& label) {
 
 // Re-decodes after mutating code words (mirrors what an attacker-supplied
 // binary would look like). The forgery suites patch instructions into a
-// loaded program's code image and re-verify; the decoded cache must follow.
+// loaded program's code image and re-verify; the decoded slots must follow,
+// through the loader's own pre-decode so tests and loader cannot drift.
 inline void Redecode(LoadedProgram* prog) {
-  prog->decoded.assign(prog->binary.code.size(), {});
-  size_t idx = 0;
-  while (idx < prog->binary.code.size()) {
-    uint32_t consumed = 1;
-    auto in = Decode(prog->binary.code, idx, &consumed);
-    if (in.has_value()) {
-      prog->decoded[idx] = {std::move(in), consumed};
-      for (uint32_t k = 1; k < consumed; ++k) {
-        prog->decoded[idx + k] = {std::nullopt, 1};
-      }
-      idx += consumed;
-    } else {
-      prog->decoded[idx] = {std::nullopt, 1};
-      ++idx;
-    }
-  }
+  prog->decoded = DecodeSlots(prog->binary.code);
 }
 
 // Promotion threshold used by the differential trace sessions: low enough

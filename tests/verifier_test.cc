@@ -4,11 +4,21 @@
 // guards against compiler bugs; it caught real ones during development).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "bench/workloads.h"
 #include "src/driver/confcc.h"
+#include "src/support/bytes.h"
+#include "src/support/rng.h"
 #include "src/verifier/verifier.h"
+#include "tests/test_util.h"
 
 namespace confllvm {
 namespace {
+
+using testutil::Redecode;
 
 const char* kPrograms[] = {
     // Simple arithmetic.
@@ -93,27 +103,6 @@ std::unique_ptr<Session> BuildMpx(const char* src) {
   return s;
 }
 
-// Re-decodes after mutating code words (mirrors what an attacker-supplied
-// binary would look like).
-void Redecode(LoadedProgram* prog) {
-  prog->decoded.assign(prog->binary.code.size(), {});
-  size_t idx = 0;
-  while (idx < prog->binary.code.size()) {
-    uint32_t consumed = 1;
-    auto in = Decode(prog->binary.code, idx, &consumed);
-    if (in.has_value()) {
-      prog->decoded[idx] = {std::move(in), consumed};
-      for (uint32_t k = 1; k < consumed; ++k) {
-        prog->decoded[idx + k] = {std::nullopt, 1};
-      }
-      idx += consumed;
-    } else {
-      prog->decoded[idx] = {std::nullopt, 1};
-      ++idx;
-    }
-  }
-}
-
 const char* kPrivateStoreProgram = R"(
     int deliver(private int x) {
       private int hold[1];
@@ -152,6 +141,67 @@ TEST(VerifierRejects, DroppedBoundsCheck) {
   VerifyResult r = Verify(*s->compiled->prog);
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.ErrorText().find("without a dominating bounds check"), std::string::npos)
+      << r.ErrorText();
+}
+
+bool IsBoundsCheck(Op op) {
+  return op == Op::kBndclR || op == Op::kBndcuR || op == Op::kBndclM ||
+         op == Op::kBndcuM;
+}
+
+// ConfVerify must check the decoded slots the VM engines execute, not a
+// fresh decode of the raw words: a slot that disagrees with its code word is
+// what runs. Dropping one bounds check from the slots alone — the code image
+// still carries it — must be rejected.
+TEST(VerifierRejects, BoundsCheckDroppedFromDecodedSlotsOnly) {
+  auto s = BuildMpx(kPrivateStoreProgram);
+  LoadedProgram& prog = *s->compiled->prog;
+  ASSERT_TRUE(Verify(prog).ok);
+  const std::vector<uint64_t> code = prog.binary.code;
+  size_t w = 0;
+  while (w < prog.decoded.size() && !(prog.decoded[w].instr.has_value() &&
+                                      IsBoundsCheck(prog.decoded[w].instr->op))) {
+    ++w;
+  }
+  ASSERT_LT(w, prog.decoded.size());
+  MInstr nop{};
+  nop.op = Op::kNop;
+  prog.decoded[w].instr = nop;
+  VerifyResult r = Verify(prog);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.ErrorText().find("memory access without a dominating bounds check"),
+            std::string::npos)
+      << r.ErrorText();
+  EXPECT_EQ(prog.binary.code, code);
+}
+
+// A slot table that does not cover the code image word for word fails
+// closed with a diagnostic (and, under ASan, without reading past either).
+TEST(VerifierRejects, DecodedSlotsShorterThanCode) {
+  auto s = BuildMpx(kPrivateStoreProgram);
+  LoadedProgram& prog = *s->compiled->prog;
+  ASSERT_TRUE(Verify(prog).ok);
+  prog.decoded.pop_back();
+  VerifyResult r = Verify(prog);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.ErrorText().find("decoded image has"), std::string::npos)
+      << r.ErrorText();
+}
+
+// The walk advances by each slot's length, as the VM does; a slot whose
+// length disagrees with its instruction is rejected, so a zero-length slot
+// cannot stall the walk.
+TEST(VerifierRejects, DecodedSlotLengthDisagreesWithItsInstruction) {
+  auto s = BuildMpx(kPrivateStoreProgram);
+  LoadedProgram& prog = *s->compiled->prog;
+  ASSERT_TRUE(Verify(prog).ok);
+  const uint64_t w = prog.EntryWordOf("deliver");
+  ASSERT_TRUE(prog.decoded[w].instr.has_value());
+  prog.decoded[w].words = 0;
+  VerifyResult r = Verify(prog);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.ErrorText().find("disassembly failed inside procedure"),
+            std::string::npos)
       << r.ErrorText();
 }
 
@@ -285,6 +335,164 @@ TEST(VerifierRejects, BranchOnPrivateValue) {
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.ErrorText().find("branch on a private value"), std::string::npos)
       << r.ErrorText();
+}
+
+// ---- Verdict pinning: a seeded word-level mutation sweep ----
+//
+// Every serve and ct kernel is compiled under its verified presets and then
+// mutated one code word at a time — bit flips, word swaps, and re-encoded
+// operand tweaks (registers, bounds register, segment, condition, immediate
+// or displacement) — and re-decoded. Each mutant's whole VerifyResult
+// (verdict, every diagnostic, procedure and instruction counts) is folded
+// into one FNV-1a digest. The pinned digest and reject count were recorded
+// against the map-based verifier that re-decoded the code image itself, so
+// any change to a verdict or to diagnostic text on any mutant fails here.
+
+constexpr int kMutantsPerBinary = 300;
+
+uint64_t FoldU64(uint64_t h, uint64_t v) {
+  uint8_t b[8];
+  for (int i = 0; i < 8; ++i) {
+    b[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+  return Fnv1a64(b, sizeof b, h);
+}
+
+uint64_t FoldResult(uint64_t h, const VerifyResult& r) {
+  h = FoldU64(h, r.ok ? 1 : 0);
+  h = FoldU64(h, r.procedures);
+  h = FoldU64(h, r.instructions);
+  h = FoldU64(h, r.errors.size());
+  for (const std::string& e : r.errors) {
+    h = Fnv1a64(reinterpret_cast<const uint8_t*>(e.data()), e.size(), h);
+    h = FoldU64(h, e.size());
+  }
+  return h;
+}
+
+// Applies one seeded mutation to `code`. `starts` lists the pristine image's
+// instruction-start words (operand tweaks re-encode one of them in place).
+void MutateWord(std::vector<uint64_t>* code, const std::vector<uint32_t>& starts,
+                Rng* rng) {
+  const size_t n = code->size();
+  switch (rng->Below(3)) {
+    case 0: {  // bit flip
+      const size_t w = rng->Below(n);
+      (*code)[w] ^= 1ull << rng->Below(64);
+      return;
+    }
+    case 1: {  // word swap
+      const size_t a = rng->Below(n);
+      const size_t b = rng->Below(n);
+      std::swap((*code)[a], (*code)[b]);
+      return;
+    }
+    default: {  // re-encoded operand tweak
+      const uint32_t w = starts[rng->Below(starts.size())];
+      uint32_t consumed = 1;
+      auto mi = Decode(*code, w, &consumed);
+      ASSERT_TRUE(mi.has_value());
+      switch (rng->Below(8)) {
+        case 0:
+          mi->rd = static_cast<uint8_t>(rng->Below(kNumIntRegs));
+          break;
+        case 1:
+          mi->rs1 = static_cast<uint8_t>(rng->Below(kNumIntRegs));
+          mi->mem.base = mi->rs1;
+          break;
+        case 2:
+          mi->rs2 = static_cast<uint8_t>(rng->Below(kNumIntRegs));
+          mi->mem.index = rng->Below(2) == 0 ? kNoMReg : mi->rs2;
+          break;
+        case 3:
+          mi->bnd ^= 1;
+          break;
+        case 4:
+          mi->mem.seg = static_cast<Seg>(rng->Below(3));
+          break;
+        case 5:
+          mi->cc = static_cast<Cond>(rng->Below(6));
+          break;
+        case 6: {  // small shift: jump/call targets, displacements
+          const uint32_t delta = static_cast<uint32_t>(rng->Range(-4, 4));
+          mi->imm = static_cast<int32_t>(static_cast<uint32_t>(mi->imm) + delta);
+          mi->mem.disp =
+              static_cast<int32_t>(static_cast<uint32_t>(mi->mem.disp) + delta);
+          break;
+        }
+        default:  // arbitrary immediate: far out-of-range targets
+          mi->imm = static_cast<int32_t>(rng->Next());
+          mi->mem.disp = mi->imm;
+          break;
+      }
+      std::vector<uint64_t> enc;
+      Encode(*mi, &enc);
+      for (size_t k = 0; k < enc.size() && w + k < n; ++k) {
+        (*code)[w + k] = enc[k];
+      }
+      return;
+    }
+  }
+}
+
+struct SweepTally {
+  uint64_t digest = 14695981039346656037ull;
+  int mutants = 0;
+  int rejected = 0;
+};
+
+void SweepBinary(const std::string& label, const std::string& source,
+                 BuildPreset preset, uint64_t seed, SweepTally* tally) {
+  SCOPED_TRACE(label);
+  DiagEngine diags;
+  auto cp = Compile(source, BuildConfig::For(preset), &diags);
+  ASSERT_NE(cp, nullptr) << diags.ToString();
+  LoadedProgram* prog = cp->prog.get();
+  const VerifyResult clean = Verify(*prog);
+  ASSERT_TRUE(clean.ok) << clean.ErrorText();
+  tally->digest = FoldResult(tally->digest, clean);
+
+  const std::vector<uint64_t> pristine = prog->binary.code;
+  std::vector<uint32_t> starts;
+  for (uint32_t w = 0; w < prog->decoded.size(); ++w) {
+    if (prog->decoded[w].instr.has_value()) {
+      starts.push_back(w);
+    }
+  }
+  ASSERT_FALSE(starts.empty());
+  Rng rng(seed);
+  for (int m = 0; m < kMutantsPerBinary; ++m) {
+    prog->binary.code = pristine;
+    MutateWord(&prog->binary.code, starts, &rng);
+    Redecode(prog);
+    const VerifyResult r = Verify(*prog);
+    EXPECT_TRUE(r.ok || !r.errors.empty()) << label << " mutant " << m;
+    tally->digest = FoldResult(tally->digest, r);
+    ++tally->mutants;
+    tally->rejected += r.ok ? 0 : 1;
+  }
+}
+
+TEST(VerifierPinned, MutationSweepVerdictsAndDiagnostics) {
+  SweepTally tally;
+  uint64_t seed = 0xc0f1e12;
+  for (int k = 0; k < workloads::kNumServeKernels; ++k) {
+    for (const BuildPreset p : {BuildPreset::kOurMpx, BuildPreset::kOurSeg}) {
+      const auto& kernel = workloads::kServeKernels[k];
+      SweepBinary(std::string(kernel.name) + "/" + PresetName(p), kernel.source, p,
+                  seed++, &tally);
+    }
+  }
+  for (int k = 0; k < workloads::kNumCtKernels; ++k) {
+    for (const BuildPreset p : kCtBuildPresets) {
+      const auto& kernel = workloads::kCtKernels[k];
+      SweepBinary(std::string(kernel.name) + "/" + PresetName(p), kernel.source, p,
+                  seed++, &tally);
+    }
+  }
+  EXPECT_EQ(tally.mutants, 16 * kMutantsPerBinary);
+  EXPECT_EQ(tally.rejected, 1560);
+  EXPECT_EQ(tally.digest, 17741598249114018040ull);
 }
 
 }  // namespace

@@ -1,33 +1,36 @@
 // Execution-throughput benchmark: host-side interpreter speed of the three
-// VM engine tiers over the fig5 SPEC kernel suite plus the §7.2/§7.3 server
-// applications (mini-NGINX, mini-LDAP).
+// VM engine tiers over the fig5 SPEC kernel suite plus the §7.2-§7.5
+// applications (mini-NGINX, mini-LDAP hits and misses, the Privado
+// classifier, one Merkle verify-read thread).
 //
 // Every runtime figure in this reproduction is produced by simulating
 // millions of vISA instructions, so the interpreter's host MIPS bounds how
 // many workloads/presets/iterations the benches can afford. This bench pits
 // the reference stepper against the fast engine (ExecImage + token-threaded
-// dispatch + flat region memory) and the trace tier (runtime hot-block
-// promotion above the fast engine) on identical binaries and emits one JSON
-// document on stdout for BENCH_exec.json harvesting:
+// dispatch + superinstructions) and the trace tier (runtime hot-block
+// promotion above the fast engine) on identical binaries — all three on
+// the same flat region memory — and emits one JSON document on stdout for
+// BENCH_exec.json harvesting:
 //   per workload × preset: simulated instrs/cycles (ref and fast must match
 //   cycle-for-cycle, trace must match the full call result — the bench
 //   fails otherwise), wall ms and host MIPS per engine, the ref→fast and
 //   fast→trace speedups, and the trace tier's promotion telemetry; plus a
 //   geomean/min summary with a separate fast→trace geomean over the server
-//   apps (the branchy long-running programs the tier exists for).
+//   apps nginx/ldap/ldap-miss (the branchy long-running programs the tier
+//   exists for; privado and merkle stay out of that gate).
 //
 // Needs no google-benchmark: it is a plain executable so CI can always run
 // it. Timing is min-of-N over fresh sessions (the D-cache model is part of
 // the simulation, so each measured run starts from a cold Vm — for the
 // trace tier that includes re-discovering and re-promoting its hot blocks).
 //
-// --pair-histogram: instead of timing, run every workload × preset once on
-// the *reference* engine with VmOptions::pair_histogram attached and dump
-// the aggregated dynamic opcode-pair frequency table as JSON (sorted by
-// count, with cumulative fractions). This is the input for re-tuning the
-// fast engine's superinstruction fusion set as new workloads — e.g. the
-// multi-module linked programs — shift the dynamic mix (ROADMAP
-// "fast-engine coverage growth").
+// --pair-histogram: instead of timing, run every exec row × preset, the ct
+// kernels × ct presets and the serve kernels × presets once on the
+// *reference* engine with VmOptions::pair_histogram attached and dump the
+// aggregated dynamic opcode-pair frequency table as JSON (sorted by count,
+// with cumulative fractions). This is the input that decides the fast
+// engine's superinstruction lists: bench/PAIR_HISTOGRAM.md holds the
+// checked-in snapshot and the 10,000-pair rule exec_image.h follows.
 //
 // --block-histogram: run every workload × preset once on the reference
 // engine with VmOptions::block_profile attached and dump (a) the dynamic
@@ -73,6 +76,9 @@ constexpr uint64_t kLdapEntries = 6000;
 // 256-iteration referral-scan path, so far fewer of them dominate the run.
 constexpr uint64_t kLdapQueries = 6000;
 constexpr uint64_t kLdapMissQueries = 600;
+// Merkle verify-reads every block of a 512-block tree on one thread (the
+// perfbench exec row runs the same call on four RunParallel threads).
+constexpr uint64_t kMerkleBlocks = 512;
 
 // One timed unit: compile `source`, run `setup` (untimed: queue requests,
 // populate the directory), then time a single Call of `fn`.
@@ -109,6 +115,16 @@ std::vector<BenchWorkload> MakeWorkloads() {
                 {kLdapMissQueries, 0},
                 [](Session* s) { s->vm->Call("ldap_populate", {kLdapEntries}); },
                 true});
+  ws.push_back({"privado", workloads::kPrivado, "nn_classify", {},
+                [](Session* s) {
+                  s->vm->Call("nn_init", {});
+                  s->vm->Call("nn_stage_image", {7});
+                },
+                false});
+  ws.push_back({"merkle", workloads::kMerkle, "merkle_read_all",
+                {0, kMerkleBlocks},
+                [](Session* s) { s->vm->Call("merkle_build", {kMerkleBlocks}); },
+                false});
   return ws;
 }
 
@@ -296,90 +312,58 @@ int Run() {
 // ---- --pair-histogram mode ----
 
 int RunPairHistogram() {
+  // Every exec row under the six standard presets, the ct kernels under the
+  // ct presets (the linearizer's select traffic) and the confccd serve
+  // kernels under the standard presets (the daemon's per-request guest work).
+  struct Sweep {
+    BenchWorkload w;
+    std::vector<BuildPreset> presets;
+  };
+  const std::vector<BuildPreset> standard(std::begin(kPresets), std::end(kPresets));
+  std::vector<Sweep> sweeps;
+  for (BenchWorkload& w : MakeWorkloads()) {
+    sweeps.push_back({std::move(w), standard});
+  }
+  for (int k = 0; k < workloads::kNumCtKernels; ++k) {
+    const auto& kernel = workloads::kCtKernels[k];
+    sweeps.push_back({{kernel.name, kernel.source, "kernel", {42, 7}, nullptr, false},
+                      {std::begin(kCtBuildPresets), std::end(kCtBuildPresets)}});
+  }
+  for (int k = 0; k < workloads::kNumServeKernels; ++k) {
+    const auto& kernel = workloads::kServeKernels[k];
+    sweeps.push_back(
+        {{kernel.name, kernel.source, "main", {}, nullptr, false}, standard});
+  }
+
   std::vector<uint64_t> hist(256 * 256, 0);
   uint64_t total_instrs = 0;
   int rows = 0;
-  for (int k = 0; k < kNumSpecKernels; ++k) {
-    const auto& kernel = kSpecKernels[k];
+  for (const Sweep& sw : sweeps) {
+    const BenchWorkload& w = sw.w;
     ArtifactCache cache;
-    for (const BuildPreset preset : kPresets) {
+    for (const BuildPreset preset : sw.presets) {
       DiagEngine diags;
       auto compiled =
-          Compile(kernel.source, BuildConfig::For(preset), &diags, nullptr, &cache);
+          Compile(w.source, BuildConfig::For(preset), &diags, nullptr, &cache);
       if (compiled == nullptr) {
         fprintf(stderr, "compile failed under %s:\n%s", PresetName(preset),
                 diags.ToString().c_str());
         return 1;
       }
-      // The histogram counts the *reference* dynamic stream: the fast
-      // engine's fusion would hide exactly the pairs being measured.
+      // The histogram counts the *reference* dynamic stream (set-up calls
+      // included: the fast engine runs them too); the fast engine's fusion
+      // would hide exactly the pairs being measured.
       VmOptions opts;
       opts.engine = VmEngine::kRef;
       opts.pair_histogram = &hist;
       auto s = MakeSessionFor(std::move(compiled), opts);
-      const auto r = s->vm->Call("main", {});
+      if (w.setup) {
+        w.setup(s.get());
+      }
+      const auto r = s->vm->Call(w.fn, w.args);
       if (!r.ok) {
-        fprintf(stderr, "%s/%s: main fault: %s\n", kernel.name,
-                PresetName(preset), r.fault_msg.c_str());
-        return 1;
-      }
-      total_instrs += r.instrs;
-      ++rows;
-    }
-  }
-  // The ct workloads shift the dynamic mix toward select (the linearizer's
-  // workhorse) — exactly the kind of drift this histogram exists to catch
-  // before the fusion set goes stale.
-  for (int k = 0; k < workloads::kNumCtKernels; ++k) {
-    const auto& kernel = workloads::kCtKernels[k];
-    ArtifactCache cache;
-    for (const BuildPreset preset : kCtBuildPresets) {
-      DiagEngine diags;
-      auto compiled = Compile(kernel.source, BuildConfig::For(preset), &diags,
-                              nullptr, &cache);
-      if (compiled == nullptr) {
-        fprintf(stderr, "compile failed under %s:\n%s", PresetName(preset),
-                diags.ToString().c_str());
-        return 1;
-      }
-      VmOptions opts;
-      opts.engine = VmEngine::kRef;
-      opts.pair_histogram = &hist;
-      auto s = MakeSessionFor(std::move(compiled), opts);
-      const auto r = s->vm->Call("kernel", {42, 7});
-      if (!r.ok) {
-        fprintf(stderr, "%s/%s: kernel fault: %s\n", kernel.name,
-                PresetName(preset), r.fault_msg.c_str());
-        return 1;
-      }
-      total_instrs += r.instrs;
-      ++rows;
-    }
-  }
-  // The serve-bench request bodies (confccd's per-request guest work): short,
-  // branchy, table-driven loops whose mix skews toward loads and compares —
-  // the daemon's request loop is now part of the stream the fusion set is
-  // tuned against.
-  for (int k = 0; k < workloads::kNumServeKernels; ++k) {
-    const auto& kernel = workloads::kServeKernels[k];
-    ArtifactCache cache;
-    for (const BuildPreset preset : kPresets) {
-      DiagEngine diags;
-      auto compiled = Compile(kernel.source, BuildConfig::For(preset), &diags,
-                              nullptr, &cache);
-      if (compiled == nullptr) {
-        fprintf(stderr, "compile failed under %s:\n%s", PresetName(preset),
-                diags.ToString().c_str());
-        return 1;
-      }
-      VmOptions opts;
-      opts.engine = VmEngine::kRef;
-      opts.pair_histogram = &hist;
-      auto s = MakeSessionFor(std::move(compiled), opts);
-      const auto r = s->vm->Call("main", {});
-      if (!r.ok) {
-        fprintf(stderr, "%s/%s: main fault: %s\n", kernel.name,
-                PresetName(preset), r.fault_msg.c_str());
+        fprintf(stderr, "%s/%s: %s fault: %s\n", w.name, PresetName(preset),
+                w.fn, r.fault_msg.c_str());
         return 1;
       }
       total_instrs += r.instrs;

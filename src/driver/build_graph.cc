@@ -215,12 +215,13 @@ std::string BuildGraphStats::ToJson() const {
       link.contract_checks);
   for (size_t i = 0; i < per_module.size(); ++i) {
     const PerModule& m = per_module[i];
+    s += i == 0 ? "{\"name\": " : ", {\"name\": ";
+    AppendEscaped(m.name, &s);
     s += StrFormat(
-        "%s{\"name\": \"%s\", \"wave\": %zu, \"ok\": %s, \"skipped\": %s, "
+        ", \"wave\": %zu, \"ok\": %s, \"skipped\": %s, "
         "\"codegen_cached\": %s, \"ms\": %.3f}",
-        i == 0 ? "" : ", ", m.name.c_str(), m.wave, m.ok ? "true" : "false",
-        m.skipped ? "true" : "false", m.codegen_cached ? "true" : "false",
-        m.ms);
+        m.wave, m.ok ? "true" : "false", m.skipped ? "true" : "false",
+        m.codegen_cached ? "true" : "false", m.ms);
   }
   s += "]}\n";
   return s;

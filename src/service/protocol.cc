@@ -7,6 +7,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "src/support/strings.h"
+
 namespace confllvm {
 
 // ---- Json construction ----
@@ -140,31 +142,6 @@ bool Json::GetBool(const std::string& key, bool def) const {
 // ---- Dump ----
 
 namespace {
-
-void AppendEscaped(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (const char c : s) {
-    const unsigned char u = static_cast<unsigned char>(c);
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      case '\b': *out += "\\b"; break;
-      case '\f': *out += "\\f"; break;
-      default:
-        if (u < 0x20) {
-          char buf[8];
-          snprintf(buf, sizeof buf, "\\u%04x", u);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
 
 void DumpTo(const Json& j, std::string* out);
 

@@ -264,9 +264,32 @@ void ConfccdServer::AcceptLoop() {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.connections_accepted;
     }
+    ReapFinishedReaders();
     std::lock_guard<std::mutex> lock(conns_mu_);
     conns_.push_back(conn);
     readers_.emplace_back([this, conn] { ReaderLoop(conn); });
+  }
+}
+
+void ConfccdServer::ReapFinishedReaders() {
+  std::vector<std::thread> done;
+  {
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    for (const std::thread::id id : finished_readers_) {
+      for (size_t i = 0; i < readers_.size(); ++i) {
+        if (readers_[i].get_id() == id) {
+          done.push_back(std::move(readers_[i]));
+          readers_.erase(readers_.begin() + static_cast<ptrdiff_t>(i));
+          break;
+        }
+      }
+    }
+    finished_readers_.clear();
+  }
+  // A finished reader has at most its return left to run; join outside the
+  // lock all the same.
+  for (std::thread& t : done) {
+    t.join();
   }
 }
 
@@ -388,7 +411,8 @@ void ConfccdServer::ReaderLoop(std::shared_ptr<Connection> conn) {
     ++stats_.connections_closed;
   }
   // Drop this reader's registration so the fd can close as soon as any
-  // in-flight worker task releases its reference.
+  // in-flight worker task releases its reference, and queue the thread for
+  // the next accept to join.
   std::lock_guard<std::mutex> lock(conns_mu_);
   for (size_t i = 0; i < conns_.size(); ++i) {
     if (conns_[i] == conn) {
@@ -396,6 +420,7 @@ void ConfccdServer::ReaderLoop(std::shared_ptr<Connection> conn) {
       break;
     }
   }
+  finished_readers_.push_back(std::this_thread::get_id());
 }
 
 Json ConfccdServer::Handle(const Json& req) {

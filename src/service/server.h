@@ -113,6 +113,9 @@ class ConfccdServer {
 
   void AcceptLoop();
   void ReaderLoop(std::shared_ptr<Connection> conn);
+  // Joins the readers that have left ReaderLoop, so a long-running daemon
+  // holds one thread (and one stack mapping) per live connection only.
+  void ReapFinishedReaders();
   // Sends `resp` as one frame; drops it (and marks the connection closed)
   // when the peer is gone.
   void SendResponse(const std::shared_ptr<Connection>& conn, const Json& resp);
@@ -137,6 +140,7 @@ class ConfccdServer {
   std::mutex conns_mu_;
   std::vector<std::shared_ptr<Connection>> conns_;
   std::vector<std::thread> readers_;
+  std::vector<std::thread::id> finished_readers_;  // exited, not yet joined
 
   mutable std::mutex stats_mu_;
   ServerStats stats_;

@@ -96,7 +96,6 @@ uint16_t FusedHandler(uint16_t a, uint16_t b) {
       return t[x * kNumBaseHandlers + y];
     };
 #define CONFLLVM_YP(x, y) at(kH##x, kH##y) = kHP_##x##_##y;
-#define CONFLLVM_YQ(x, y) at(kH##x, kH##y) = kHP_##x##_##y;
 #define CONFLLVM_YJ(x) at(kH##x, kHJmp) = kHP_##x##_Jmp;
 #define CONFLLVM_YT(y) at(kHJmp, kH##y) = kHP_Jmp_##y;
     CONFLLVM_PAIRS_SS(CONFLLVM_YP)
@@ -108,13 +107,11 @@ uint16_t FusedHandler(uint16_t a, uint16_t b) {
     CONFLLVM_PAIRS_MS(CONFLLVM_YP)
     CONFLLVM_PAIRS_BM(CONFLLVM_YP)
     CONFLLVM_PAIRS_FF(CONFLLVM_YP)
-    CONFLLVM_PAIRS_FSM(CONFLLVM_YP)
     CONFLLVM_PAIRS_FMS(CONFLLVM_YP)
     CONFLLVM_PAIRS_BS(CONFLLVM_YP)
     CONFLLVM_PAIRS_SFM(CONFLLVM_YP)
     CONFLLVM_PAIRS_FMI(CONFLLVM_YP)
     CONFLLVM_PAIRS_FAS(CONFLLVM_YP)
-    CONFLLVM_PAIRS_SFA(CONFLLVM_YP)
     CONFLLVM_PAIRS_SIF(CONFLLVM_YP)
     CONFLLVM_PAIRS_SN(CONFLLVM_YP)
 #define CONFLLVM_YS(b) at(kHPop, kH##b) = kHP_Pop_##b;
@@ -128,8 +125,6 @@ uint16_t FusedHandler(uint16_t a, uint16_t b) {
 #undef CONFLLVM_YP
 #undef CONFLLVM_YJ
 #undef CONFLLVM_YT
-#undef CONFLLVM_YQ
-    at(kHBndclR, kHBndcuR) = kHP_BndclR_BndcuR;
     at(kHAdd, kHBndclR) = kHP_Add_BndclR;
     at(kHPop, kHPop) = kHP_Pop_Pop;
     at(kHPush, kHPush) = kHP_Push_Push;
@@ -248,7 +243,20 @@ void BuildBlockMetadata(const LoadedProgram& prog, ExecImage* img) {
 
 }  // namespace
 
-uint16_t FusedPairHandler(uint16_t a, uint16_t b) { return FusedHandler(a, b); }
+uint16_t RegionPairHandler(uint16_t a, uint16_t b) {
+  static const auto table = [] {
+    std::vector<uint16_t> t(kNumBaseHandlers * kNumBaseHandlers, 0);
+#define CONFLLVM_YP(x, y) t[kH##x * kNumBaseHandlers + kH##y] = kHP_##x##_##y;
+    CONFLLVM_PAIRS_SS(CONFLLVM_YP)
+    CONFLLVM_PAIRS_SM(CONFLLVM_YP)
+    CONFLLVM_PAIRS_MS(CONFLLVM_YP)
+    CONFLLVM_YP(Pop, Pop)
+    CONFLLVM_YP(Push, Push)
+#undef CONFLLVM_YP
+    return t;
+  }();
+  return table[a * kNumBaseHandlers + b];
+}
 
 void FillBaseExecRecord(const LoadedProgram& prog, size_t i, ExecRecord* out) {
   ExecRecord& rec = *out;
@@ -402,7 +410,7 @@ std::shared_ptr<const ExecImage> BuildExecImage(const LoadedProgram& prog) {
     // operands stay untouched (the pair handlers bail to its base handler
     // when a mid-pair budget/limit boundary could hit).
     const ExecRecord& rb = img->recs[j];
-    if (fused == kHP_BndclR_BndcuR || fused == kHP_Add_BndclR) {
+    if (fused == kHP_Add_BndclR) {
       rec.base = rb.rs1;    // B's checked register
       rec.size = rb.bnd;    // B's bounds register id
       rec.target = rb.next;
@@ -411,9 +419,9 @@ std::shared_ptr<const ExecImage> BuildExecImage(const LoadedProgram& prog) {
       rec.target = rb.next;
     } else if (base[j] == kHLoad || base[j] == kHStore ||
                base[j] == kHFLoad || base[j] == kHFStore) {
-      // simple->mem / bndcu->mem / fp-arith->fp-mem: B's whole memory
-      // operand moves into the record's natural fields; its register rides
-      // in bnd (rd for bndcu, whose own operands are rs1+bnd).
+      // simple->mem / bndcu->mem: B's whole memory operand moves into the
+      // record's natural fields; its register rides in bnd (rd for bndcu,
+      // whose own operands are rs1+bnd).
       if (base[i] == kHBndcuR) {
         rec.rd = rb.rd;
       } else {

@@ -1,77 +1,60 @@
-// Guest memory with explicit mapping. Accesses to unmapped addresses fault —
-// this is how guard zones (paper Figure 3) stop segment-scheme escapes and
-// wild pointers.
+// Guest memory: one zero-filled contiguous host buffer per mapped region.
+// Accesses to unmapped addresses fault — this is how guard zones (paper
+// Figure 3) stop segment-scheme escapes and wild pointers.
 //
-// Two backings share one address space:
-//  * flat regions — contiguous host buffers registered once at Vm
-//    construction for U's pub/prv partitions and T's region. Translation is
-//    an O(1) range check, so the execution engines can turn a guest access
-//    into a single host load/store; guard zones fall out as range misses.
-//  * sparse pages — the fallback for anything mapped outside a flat region
-//    (and for flat registration failures when a huge region cannot be
-//    reserved), keeping the original demand-paged semantics.
+// The loader's layout is a few fixed regions (U's public and private
+// partitions, T's region) mapped once when a Vm is built, so translating a
+// guest address is a range check over at most kMaxRegions buffers and guard
+// zones fall out as range misses. Every engine translates through it: the
+// ref stepper via Read/Write, the fast and trace engines via FlatPtr
+// straight to a host load/store.
 #ifndef CONFLLVM_SRC_VM_MEMORY_H_
 #define CONFLLVM_SRC_VM_MEMORY_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
-#include <unordered_map>
+#include <stdexcept>
 #include <vector>
 
 namespace confllvm {
 
 class Memory {
  public:
-  static constexpr uint64_t kPageSize = 4096;
-
-  // Registers [base, base+size) as a zero-filled contiguous host buffer.
-  // Falls back to page mapping when the buffer cannot be reserved. calloc
-  // gives lazily-committed zero pages, so large regions cost address space,
-  // not resident memory.
-  void MapFlat(uint64_t base, uint64_t size) {
-    if (size == 0) {
-      return;
-    }
-    if (num_flat_ < kMaxFlatRegions) {
-      void* data = calloc(size, 1);
-      if (data != nullptr) {
-        flat_[num_flat_++] = {base, size, static_cast<uint8_t*>(data)};
-        return;
-      }
-    }
-    Map(base, size);
-  }
-
-  // Marks [base, base+size) page-mapped (zero-filled on first touch). A zero
-  // size maps nothing; an end address past 2^64 is clamped to the top.
+  // Maps [base, base+size) as a zero-filled contiguous host buffer. calloc
+  // gives lazily-committed zero pages, so a large region costs address
+  // space, not resident memory. A zero size maps nothing; an end address
+  // past 2^64 is clamped to the top, so the region never wraps around to
+  // address 0. Throws std::runtime_error when the buffer cannot be reserved
+  // or every region slot is taken.
   void Map(uint64_t base, uint64_t size) {
     if (size == 0) {
       return;
     }
-    const uint64_t last_addr = LastAddr(base, size);
-    for (uint64_t p = base / kPageSize; p <= last_addr / kPageSize; ++p) {
-      pages_.try_emplace(p);  // nullptr until touched
+    if (num_regions_ == kMaxRegions) {
+      throw std::runtime_error("guest memory: too many regions");
     }
+    size = LastAddr(base, size) - base + 1;
+    void* data = calloc(size, 1);
+    if (data == nullptr) {
+      throw std::runtime_error("guest memory: cannot reserve a region");
+    }
+    regions_[num_regions_++] = {base, size, static_cast<uint8_t*>(data)};
   }
 
   bool IsMapped(uint64_t addr, uint64_t size) const {
     if (size == 0) {
       return true;
     }
-    // Byte-exact walk: flat regions cover their exact ranges (they need not
-    // be page-aligned); anything else must fall on a mapped page.
-    uint64_t last_addr = LastAddr(addr, size);
+    // Byte-exact walk: a range may span adjacent regions.
+    const uint64_t last_addr = LastAddr(addr, size);
     while (true) {
-      uint64_t next;
-      if (const FlatRegion* r = FlatRegionAt(addr)) {
-        next = LastAddr(r->base, r->size);
-      } else if (pages_.find(addr / kPageSize) != pages_.end()) {
-        next = addr / kPageSize * kPageSize + (kPageSize - 1);
-      } else {
+      const Region* r = RegionAt(addr);
+      if (r == nullptr) {
         return false;
       }
+      const uint64_t next = LastAddr(r->base, r->size);
       if (next >= last_addr) {
         return true;
       }
@@ -80,12 +63,12 @@ class Memory {
   }
 
   // O(1) host pointer for [addr, addr+len) when it lies fully inside one
-  // flat region; nullptr otherwise. The execution engines' fast path.
+  // region; nullptr otherwise. The execution engines' fast path.
   uint8_t* FlatPtr(uint64_t addr, uint64_t len) {
-    for (uint32_t i = 0; i < num_flat_; ++i) {
-      const uint64_t off = addr - flat_[i].base;
-      if (off < flat_[i].size && len <= flat_[i].size - off) {
-        return flat_[i].data + off;
+    for (uint32_t i = 0; i < num_regions_; ++i) {
+      const uint64_t off = addr - regions_[i].base;
+      if (off < regions_[i].size && len <= regions_[i].size - off) {
+        return regions_[i].data + off;
       }
     }
     return nullptr;
@@ -166,15 +149,15 @@ class Memory {
   Memory(const Memory&) = delete;
   Memory& operator=(const Memory&) = delete;
   ~Memory() {
-    for (uint32_t i = 0; i < num_flat_; ++i) {
-      free(flat_[i].data);
+    for (uint32_t i = 0; i < num_regions_; ++i) {
+      free(regions_[i].data);
     }
   }
 
  private:
-  static constexpr uint32_t kMaxFlatRegions = 4;
+  static constexpr uint32_t kMaxRegions = 4;
 
-  struct FlatRegion {
+  struct Region {
     uint64_t base = 0;
     uint64_t size = 0;
     uint8_t* data = nullptr;
@@ -185,57 +168,29 @@ class Memory {
     return size - 1 > ~0ull - base ? ~0ull : base + size - 1;
   }
 
-  const FlatRegion* FlatRegionAt(uint64_t addr) const {
-    for (uint32_t i = 0; i < num_flat_; ++i) {
-      if (addr - flat_[i].base < flat_[i].size) {
-        return &flat_[i];
+  const Region* RegionAt(uint64_t addr) const {
+    for (uint32_t i = 0; i < num_regions_; ++i) {
+      if (addr - regions_[i].base < regions_[i].size) {
+        return &regions_[i];
       }
     }
     return nullptr;
   }
 
   // Host pointer for `addr` plus the contiguous bytes available behind it
-  // (to the end of the flat region or page); nullptr when unmapped.
+  // (to the end of its region); nullptr when unmapped.
   uint8_t* BlockFor(uint64_t addr, uint64_t* avail) {
-    for (uint32_t i = 0; i < num_flat_; ++i) {
-      const uint64_t off = addr - flat_[i].base;
-      if (off < flat_[i].size) {
-        *avail = flat_[i].size - off;
-        return flat_[i].data + off;
-      }
-    }
-    uint8_t* page = PageFor(addr);
-    if (page == nullptr) {
+    const Region* r = RegionAt(addr);
+    if (r == nullptr) {
       return nullptr;
     }
-    const uint64_t off = addr % kPageSize;
-    *avail = kPageSize - off;
-    return page + off;
+    const uint64_t off = addr - r->base;
+    *avail = r->size - off;
+    return r->data + off;
   }
 
-  uint8_t* PageFor(uint64_t addr) {
-    const uint64_t p = addr / kPageSize;
-    if (p == last_page_num_ && last_page_ != nullptr) {
-      return last_page_;
-    }
-    auto it = pages_.find(p);
-    if (it == pages_.end()) {
-      return nullptr;
-    }
-    if (it->second == nullptr) {
-      it->second = std::make_unique<uint8_t[]>(kPageSize);
-      memset(it->second.get(), 0, kPageSize);
-    }
-    last_page_num_ = p;
-    last_page_ = it->second.get();
-    return last_page_;
-  }
-
-  FlatRegion flat_[kMaxFlatRegions];
-  uint32_t num_flat_ = 0;
-  std::unordered_map<uint64_t, std::unique_ptr<uint8_t[]>> pages_;
-  uint64_t last_page_num_ = ~0ull;
-  uint8_t* last_page_ = nullptr;
+  Region regions_[kMaxRegions];
+  uint32_t num_regions_ = 0;
 };
 
 // Tiny set-associative D-cache model: 32 KiB, 64-byte lines, 4-way LRU.

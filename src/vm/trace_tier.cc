@@ -294,12 +294,13 @@ void TraceTier::Promote(uint32_t bid) {
   // own pair/triple records (second element packed exactly as
   // BuildExecImage's fusion pass packs it), but WITHOUT the outer engine's
   // mid-pair bail checks — the region entry prechecks already proved a
-  // mid-region stop impossible. Only families whose fault pcs survive the
-  // packing are used: fault-free simple+simple, simple+mem (the access
-  // faults at rec->next, the straight-line successor word), mem+simple (the
-  // access keeps its own word in rec->target), the MPX register-check pair
-  // (upper check faults at rec->next), and the full bndcl;bndcu;access
-  // sandwich (access word carried in imm, exactly like the image triple).
+  // mid-region stop impossible. Only shapes whose fault pcs survive the
+  // packing are used (RegionPairHandler): fault-free simple+simple,
+  // simple+mem (the access faults at rec->next, the straight-line successor
+  // word), mem+simple (the access keeps its own word in rec->target),
+  // pop;pop / push;push (the second faults at rec->next), and the full
+  // bndcl;bndcu;access sandwich (access word carried in imm, exactly like
+  // the image triple).
   // Pseudo ops (guards, inlined jmps) and terminators never fuse, so every
   // fused record's elements are word-adjacent by construction.
   std::vector<ExecRecord> fused;
@@ -395,42 +396,33 @@ void TraceTier::Promote(uint32_t bid) {
     if (i + 1 < tb.ops.size() && a.handler < kNumBaseHandlers &&
         tb.ops[i + 1].handler < kNumBaseHandlers) {
       const ExecRecord& b2 = tb.ops[i + 1];
-      const uint16_t f = FusedPairHandler(a.handler, b2.handler);
-      ExecRecord r = a;
-      r.handler = f;
-      bool ok = false;
-      if (f >= kHP_MovImm_MovImm && f < kHP_MovImm_Jmp) {
-        r.base = b2.rd;  // simple+simple: B packs SS-style
-        r.index = b2.rs1;
-        r.scale = b2.rs2;
-        r.seg_base = static_cast<uint64_t>(b2.imm);
-        ok = true;
-      } else if (f >= kHP_MovImm_Load && f < kHP_Load_MovImm) {
-        r.bnd = b2.rd;  // simple+mem: B's operand in the natural fields
-        r.base = b2.base;
-        r.index = b2.index;
-        r.scale = b2.scale;
-        r.seg = b2.seg;
-        r.size = b2.size;
-        r.acc_cost = b2.acc_cost;
-        r.disp = b2.disp;
-        r.seg_base = b2.seg_base;
-        ok = true;
-      } else if (f >= kHP_Load_MovImm && f < kHP_BndcuR_Load) {
-        r.rs1 = b2.rd;  // mem+simple: B packs into rs1/rs2/bnd/imm
-        r.rs2 = b2.rs1;
-        r.bnd = b2.rs2;
-        r.imm = b2.imm;
-        ok = true;
-      } else if (f == kHP_BndclR_BndcuR) {
-        r.base = b2.rs1;  // B's checked register; B's bounds id in size
-        r.size = b2.bnd;
-        ok = true;
-      } else if (f == kHP_Pop_Pop || f == kHP_Push_Push) {
-        r.rs1 = b2.rd;  // B's popped/pushed register
-        ok = true;
-      }
-      if (ok) {
+      const uint16_t f = RegionPairHandler(a.handler, b2.handler);
+      if (f != 0) {
+        ExecRecord r = a;
+        r.handler = f;
+        if (b2.handler == kHLoad || b2.handler == kHStore) {
+          r.bnd = b2.rd;  // simple+mem: B's operand in the natural fields
+          r.base = b2.base;
+          r.index = b2.index;
+          r.scale = b2.scale;
+          r.seg = b2.seg;
+          r.size = b2.size;
+          r.acc_cost = b2.acc_cost;
+          r.disp = b2.disp;
+          r.seg_base = b2.seg_base;
+        } else if (a.handler == kHLoad || a.handler == kHStore) {
+          r.rs1 = b2.rd;  // mem+simple: B packs into rs1/rs2/bnd/imm
+          r.rs2 = b2.rs1;
+          r.bnd = b2.rs2;
+          r.imm = b2.imm;
+        } else if (a.handler == kHPop || a.handler == kHPush) {
+          r.rs1 = b2.rd;  // pop;pop / push;push: B's register
+        } else {
+          r.base = b2.rd;  // simple+simple: B packs SS-style
+          r.index = b2.rs1;
+          r.scale = b2.rs2;
+          r.seg_base = static_cast<uint64_t>(b2.imm);
+        }
         fused.push_back(r);
         i += 2;
         continue;

@@ -1,9 +1,9 @@
 // The hot-block trace tier (VmEngine::kTrace): runtime block profiling plus
 // whole-block compiled handlers layered above the fast engine.
 //
-// The fast engine's superinstruction set is static — tuned offline to the
-// fig5 opcode mix — so branchy long-running workloads still pay one dispatch
-// per (fused) record. The trace tier discovers hot blocks at run time
+// The fast engine's superinstruction set is static — the pairs the checked-in
+// reference-engine pair histogram says are frequent — so branchy
+// long-running workloads still pay one dispatch per (fused) record. The trace tier discovers hot blocks at run time
 // instead: it executes the same ExecImage, but counts entries at every block
 // leader (kHTraceCount patched into a PRIVATE copy of the record stream),
 // and once a block crosses VmOptions::trace_threshold it compiles the whole

@@ -46,29 +46,16 @@ const char* FaultName(VmFault f) {
 
 Vm::Vm(LoadedProgram* prog, TrustedCallout* trusted, VmOptions opts)
     : prog_(prog), trusted_(trusted), opts_(opts) {
-  // Materialize the loader's region map: map usable areas (guards stay
-  // unmapped) and write global initializers. Under the fast engine the
-  // regions — fixed for the Vm's lifetime — get contiguous flat backing, so
-  // every in-region access translates in O(1) and guard zones fall out as
-  // range misses; the reference engine keeps the seed's demand-paged
-  // backing. Either way a single Memory holds the data, so the generic
-  // accessors (trusted natives, tests) always see the same bytes.
+  // Materialize the loader's region map: each usable region — fixed for the
+  // Vm's lifetime — gets one contiguous buffer (guards stay unmapped), and
+  // global initializers are written through it. Every engine and the
+  // trusted natives read and write the same bytes.
   const RegionMap& m = prog_->map;
-  const bool flat = opts_.engine != VmEngine::kRef;
-  const auto map_region = [&](uint64_t base, uint64_t size) {
-    if (flat) {
-      mem_.MapFlat(base, size);
-    } else {
-      mem_.Map(base, size);
-    }
-  };
-  map_region(m.pub_base, m.pub_size);
-  if (m.prv_size != 0 && m.prv_base != m.pub_base) {
-    map_region(m.prv_base, m.prv_size);
+  mem_.Map(m.pub_base, m.pub_size);
+  if (m.prv_base != m.pub_base) {
+    mem_.Map(m.prv_base, m.prv_size);
   }
-  if (m.t_size != 0) {
-    map_region(m.t_base, m.t_size);
-  }
+  mem_.Map(m.t_base, m.t_size);
   if (opts_.engine != VmEngine::kRef || opts_.block_profile != nullptr) {
     // Guarded: Vms may be constructed concurrently on one shared program.
     static std::mutex image_mu;

@@ -20,6 +20,9 @@
 //    overhead (§7.4).
 //  * FP add/sub/mul 3, div 15.
 // Deterministic: same program + inputs => same cycle counts.
+//
+// Guest memory is one flat buffer per region of the loader's map (see
+// memory.h), built the same way whichever engine runs the Vm.
 #ifndef CONFLLVM_SRC_VM_VM_H_
 #define CONFLLVM_SRC_VM_VM_H_
 
@@ -113,10 +116,11 @@ struct VmOptions {
   // opcode pair into (*pair_histogram)[prev_op * 256 + op] (resized to
   // 256*256 by the Vm constructor if needed). The previous-op state lives
   // in each ThreadCtx, so every Call/RunParallel thread contributes only
-  // pairs that genuinely executed adjacently on that thread. Fuel for
-  // superinstruction-fusion tuning (bench/exec_throughput.cc
-  // --pair-histogram). Ignored by the fast engine — fusion would hide
-  // exactly the pairs being measured — so pass engine=kRef alongside it.
+  // pairs that genuinely executed adjacently on that thread. The input
+  // that decides the fast engine's fusion lists (bench/exec_throughput.cc
+  // --pair-histogram, snapshot in bench/PAIR_HISTOGRAM.md). Ignored by the
+  // fast engine — fusion would hide exactly the pairs being measured — so
+  // pass engine=kRef alongside it.
   std::vector<uint64_t>* pair_histogram = nullptr;
   // engine=kTrace: block entries before a basic block is compiled into one
   // whole-block handler. ~1k keeps cold paths cheap while promoting any

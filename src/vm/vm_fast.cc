@@ -14,8 +14,10 @@
 //    accumulate in locals and flush at slice exit and around trusted calls,
 //    so the loop performs no shared-state writes;
 //  * guest loads/stores translate through Memory::FlatPtr — one range check
-//    against the flat regions backing U's partitions — and fall back to the
-//    paged path only off-region;
+//    against the regions backing U's partitions — and fall back to the
+//    generic Memory accessors only for an access that does not fit inside
+//    one region, which fault there exactly like the reference engine does
+//    (bytes before a region end included);
 //  * the slice budget / instruction-limit checks stay per dispatch (they
 //    must, to stop at exactly the instruction the reference engine stops
 //    at, preserving RunParallel's wave accounting), but they are two
@@ -45,6 +47,11 @@ namespace confllvm {
 #if CONFLLVM_COMPUTED_GOTO
 #define CASE(h) h##_lbl:
 #define DISPATCH_TARGET() goto* kLabels[rec->handler]
+// Pins the next pc in a register for the dispatch chain below. `pc` is live
+// in every handler, and whether GCC's allocator gives it a register or a
+// stack slot flips with the number of handlers; in a stack slot, every
+// dispatch would pay a store-to-load round trip on its critical path.
+#define PIN_IN_REG(x) __asm__("" : "+r"(x))
 // Re-dispatch the CURRENT record through a handler other than the one in its
 // handler field (trace-tier paths: a block leader's record was patched to a
 // counting/run slot, but this entry must execute its ORIGINAL — possibly
@@ -53,6 +60,7 @@ namespace confllvm {
 #else
 #define CASE(h) case h: h##_lbl:
 #define DISPATCH_TARGET() goto dispatch_sw
+#define PIN_IN_REG(x) (void)(x)
 #define DISPATCH_AS(h)     \
   do {                     \
     sw_h = (h);            \
@@ -74,13 +82,16 @@ namespace confllvm {
 // that opens Step.
 #define DISPATCH()                                                     \
   do {                                                                 \
+    uint64_t next_ = pc;                                               \
+    PIN_IN_REG(next_);                                                 \
     if (kBounded && cycles - start_cycles >= budget) goto done;        \
-    if (__builtin_expect((instrs >= max_instrs) | (pc >= nrecs), 0)) { \
+    if (__builtin_expect((instrs >= max_instrs) | (next_ >= nrecs),  \
+                         0)) {                                         \
       if (instrs >= max_instrs)                                        \
         FAULT(VmFault::kInstrLimit, "instruction limit exceeded");     \
       FAULT(VmFault::kBadJump, "pc out of code");                      \
     }                                                                  \
-    rec = recs + pc;                                                   \
+    rec = recs + next_;                                                \
     ++instrs;                                                          \
     DISPATCH_TARGET();                                                 \
   } while (0)
@@ -194,13 +205,11 @@ namespace confllvm {
 #define PBODY_AddImm(r) R[PRD(r)] = R[PRS1(r)] + static_cast<uint64_t>(PIMM(r))
 #define PBODY_And(r) R[PRD(r)] = R[PRS1(r)] & R[PRS2(r)]
 #define PBODY_Or(r) R[PRD(r)] = R[PRS1(r)] | R[PRS2(r)]
-#define PBODY_Xor(r) R[PRD(r)] = R[PRS1(r)] ^ R[PRS2(r)]
 #define PBODY_Shl(r) R[PRD(r)] = R[PRS1(r)] << (R[PRS2(r)] & 63)
 #define PBODY_Shr(r)                                                      \
   R[PRD(r)] = static_cast<uint64_t>(static_cast<int64_t>(R[PRS1(r)]) >>   \
                                     (R[PRS2(r)] & 63))
 #define PBODY_Not(r) R[PRD(r)] = ~R[PRS1(r)]
-#define PBODY_Neg(r) R[PRD(r)] = ~R[PRS1(r)] + 1
 #define PBODY_MovIF(r) memcpy(&F[PRD(r)], &R[PRS1(r)], 8)
 #define PBODY_CmpEq(r) R[PRD(r)] = R[PRS1(r)] == R[PRS2(r)] ? 1 : 0
 #define PBODY_CmpNe(r) R[PRD(r)] = R[PRS1(r)] != R[PRS2(r)] ? 1 : 0
@@ -235,9 +244,7 @@ namespace confllvm {
 #define ECOST_Xor 1
 #define ECOST_Shl 1
 #define ECOST_Shr 1
-#define ECOST_MovIF 1
 #define ECOST_Not 1
-#define ECOST_Neg 1
 #define ECOST_CmpEq 1
 #define ECOST_CmpNe 1
 #define ECOST_CmpLt 1
@@ -251,7 +258,6 @@ namespace confllvm {
 #define FBODY_FSub(r) F[(r)->rd] = F[(r)->rs1] - F[(r)->rs2]
 #define FBODY_FMul(r) F[(r)->rd] = F[(r)->rs1] * F[(r)->rs2]
 #define PFBODY_FAdd(r) F[PRD(r)] = F[PRS1(r)] + F[PRS2(r)]
-#define PFBODY_FSub(r) F[PRD(r)] = F[PRS1(r)] - F[PRS2(r)]
 #define PFBODY_FMul(r) F[PRD(r)] = F[PRS1(r)] * F[PRS2(r)]
 #define QFBODY_FAdd(r) F[QRD(r)] = F[QRS1(r)] + F[QRS2(r)]
 #define QFBODY_FSub(r) F[QRD(r)] = F[QRS1(r)] - F[QRS2(r)]
@@ -318,11 +324,7 @@ namespace confllvm {
 #define QBODY_Add(r) R[QRD(r)] = R[QRS1(r)] + R[QRS2(r)]
 #define QBODY_Sub(r) R[QRD(r)] = R[QRS1(r)] - R[QRS2(r)]
 #define QBODY_Mul(r) R[QRD(r)] = R[QRS1(r)] * R[QRS2(r)]
-#define QBODY_AddImm(r) R[QRD(r)] = R[QRS1(r)] + static_cast<uint64_t>(QIMM(r))
-#define QBODY_And(r) R[QRD(r)] = R[QRS1(r)] & R[QRS2(r)]
-#define QBODY_Or(r) R[QRD(r)] = R[QRS1(r)] | R[QRS2(r)]
 #define QBODY_Xor(r) R[QRD(r)] = R[QRS1(r)] ^ R[QRS2(r)]
-#define QBODY_Shl(r) R[QRD(r)] = R[QRS1(r)] << (R[QRS2(r)] & 63)
 #define QBODY_CmpEq(r) R[QRD(r)] = R[QRS1(r)] == R[QRS2(r)] ? 1 : 0
 #define QBODY_CmpNe(r) R[QRD(r)] = R[QRS1(r)] != R[QRS2(r)] ? 1 : 0
 #define QBODY_CmpLt(r)                                             \
@@ -345,9 +347,6 @@ namespace confllvm {
                       static_cast<int64_t>(R[QRS2(r)])             \
                   ? 1                                              \
                   : 0
-#define QBODY_Shr(r)                                                      \
-  R[QRD(r)] = static_cast<uint64_t>(static_cast<int64_t>(R[QRS1(r)]) >>   \
-                                    (R[QRS2(r)] & 63))
 
 // Guest load/store bodies usable as either pair element: the memory operand
 // always comes from the record's natural fields; the destination/source
@@ -486,7 +485,7 @@ void Vm::RunSliceFastImpl(ThreadCtx* t, const uint64_t budget) {
 
 #if CONFLLVM_COMPUTED_GOTO
   // Indexed by ExecHandler — order must match the enum exactly.
-  static const void* const kLabels[kNumExecHandlers] = {
+  static const void* const kLabels[] = {
       &&kHExecData_lbl, &&kHInvalid_lbl, &&kHMovImm_lbl, &&kHMov_lbl,
       &&kHAdd_lbl,      &&kHSub_lbl,     &&kHMul_lbl,    &&kHDiv_lbl,
       &&kHRem_lbl,      &&kHAnd_lbl,     &&kHOr_lbl,     &&kHXor_lbl,
@@ -516,13 +515,11 @@ void Vm::RunSliceFastImpl(ThreadCtx* t, const uint64_t budget) {
       CONFLLVM_PAIRS_MS(CONFLLVM_YP)
       CONFLLVM_PAIRS_BM(CONFLLVM_YP)
       CONFLLVM_PAIRS_FF(CONFLLVM_YP)
-      CONFLLVM_PAIRS_FSM(CONFLLVM_YP)
       CONFLLVM_PAIRS_FMS(CONFLLVM_YP)
       CONFLLVM_PAIRS_BS(CONFLLVM_YP)
       CONFLLVM_PAIRS_SFM(CONFLLVM_YP)
       CONFLLVM_PAIRS_FMI(CONFLLVM_YP)
       CONFLLVM_PAIRS_FAS(CONFLLVM_YP)
-      CONFLLVM_PAIRS_SFA(CONFLLVM_YP)
       CONFLLVM_PAIRS_SIF(CONFLLVM_YP)
       CONFLLVM_PAIRS_SN(CONFLLVM_YP)
 #define CONFLLVM_YS(b) &&kHP_Pop_##b##_lbl,
@@ -537,7 +534,6 @@ void Vm::RunSliceFastImpl(ThreadCtx* t, const uint64_t budget) {
 #undef CONFLLVM_YP
 #undef CONFLLVM_YJ
 #undef CONFLLVM_YT
-      &&kHP_BndclR_BndcuR_lbl,
       &&kHP_Add_BndclR_lbl,
       &&kHP_Pop_Pop_lbl,
       &&kHP_Push_Push_lbl,
@@ -548,8 +544,8 @@ void Vm::RunSliceFastImpl(ThreadCtx* t, const uint64_t budget) {
       &&kHTraceCount_lbl,
       &&kHTraceRun_lbl,
   };
-  static_assert(kNumExecHandlers == 556,
-                "update kLabels with the new handler");
+  static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kNumExecHandlers,
+                "kLabels must have one entry per ExecHandler");
 
   // Trace-tier inner dispatch: indexed by handler id over the FULL image
   // handler space plus the trace-only pseudo handlers (see trace_tier.h).
@@ -557,7 +553,7 @@ void Vm::RunSliceFastImpl(ThreadCtx* t, const uint64_t budget) {
   // hands the op's natural record to the outer table above so
   // call/ret/callext/halt semantics are shared code; kHExecData is the
   // synthetic exit. Fused ids a compiled region can contain (simple+simple,
-  // simple+mem, mem+simple, the MPX check pair and the bndcl;bndcu;access
+  // simple+mem, mem+simple, pop;pop, push;push and the bndcl;bndcu;access
   // triple) get tP_*/tT_* superinstruction labels generated from the same
   // X-macro lists as the enum; every other fused id is never emitted by
   // TraceTier::Promote and routes to tTerm only to keep the table aligned
@@ -568,7 +564,7 @@ void Vm::RunSliceFastImpl(ThreadCtx* t, const uint64_t budget) {
 #define CONFLLVM_TMS(m, b) &&tP_##m##_##b,
 #define CONFLLVM_TF2(a, b) &&tTerm,
 #define CONFLLVM_TF1(a) &&tTerm,
-  static const void* const kTL[kTNumTraceHandlers] = {
+  static const void* const kTL[] = {
       &&tExit,    &&tTerm,     &&tMovImm,  &&tMov,
       &&tAdd,     &&tSub,      &&tMul,     &&tDiv,
       &&tRem,     &&tAnd,      &&tOr,      &&tXor,
@@ -596,20 +592,17 @@ void Vm::RunSliceFastImpl(ThreadCtx* t, const uint64_t budget) {
       CONFLLVM_PAIRS_MS(CONFLLVM_TMS)
       CONFLLVM_PAIRS_BM(CONFLLVM_TF2)
       CONFLLVM_PAIRS_FF(CONFLLVM_TF2)
-      CONFLLVM_PAIRS_FSM(CONFLLVM_TF2)
       CONFLLVM_PAIRS_FMS(CONFLLVM_TF2)
       CONFLLVM_PAIRS_BS(CONFLLVM_TF2)
       CONFLLVM_PAIRS_SFM(CONFLLVM_TF2)
       CONFLLVM_PAIRS_FMI(CONFLLVM_TF2)
       CONFLLVM_PAIRS_FAS(CONFLLVM_TF2)
-      CONFLLVM_PAIRS_SFA(CONFLLVM_TF2)
       CONFLLVM_PAIRS_SIF(CONFLLVM_TF2)
       CONFLLVM_PAIRS_SN(CONFLLVM_TF2)
       CONFLLVM_PAIRS_PS(CONFLLVM_TF1)
       CONFLLVM_PAIRS_LC(CONFLLVM_TF1)
       &&tTerm, &&tTerm,  // kHP_Not_LoadCode, kHP_AddImm_JmpReg
       CONFLLVM_PAIRS_BT(CONFLLVM_TF2)
-      &&tP_BndclR_BndcuR,
       &&tTerm,            // kHP_Add_BndclR
       &&tP_Pop_Pop, &&tP_Push_Push,
       &&tT_BndBnd_Load,   &&tT_BndBnd_Store,
@@ -641,8 +634,8 @@ void Vm::RunSliceFastImpl(ThreadCtx* t, const uint64_t budget) {
 #undef CONFLLVM_TMS
 #undef CONFLLVM_TF2
 #undef CONFLLVM_TF1
-  static_assert(kTNumTraceHandlers == kNumExecHandlers + 44,
-                "update kTL with the new handler");
+  static_assert(sizeof(kTL) / sizeof(kTL[0]) == kTNumTraceHandlers,
+                "kTL must have one entry per trace dispatch id");
 #endif
 
   DISPATCH();
@@ -1782,40 +1775,6 @@ dispatch_sw_as:
     ++instrs;
     goto* kTL[rec->handler];
   }
-  tP_BndclR_BndcuR: {
-    // Packed like the outer pair: B's checked register in base, B's bounds
-    // id in size. The FP/MPX dual-issue credit is consumed, never reset,
-    // exactly like two TNEXT_CHECK postludes.
-    const uint64_t v1 = R[rec->rs1];
-    if (__builtin_expect(v1 < map.bnd_lo[rec->bnd], 0)) {
-      pc = rec->target;
-      FAULT(VmFault::kBndViolation,
-            StrFormat("bnd%d lower check failed for %s", rec->bnd,
-                      Hex(v1).c_str()));
-    }
-    const uint64_t c1 = fp_credit > 0 ? 0 : 1;
-    ++s_checks;
-    s_check_cyc += c1;
-    if (fp_credit > 0) --fp_credit;
-    cycles += c1;
-    ++instrs;
-    const uint64_t v2 = R[rec->base];
-    if (__builtin_expect(v2 > map.bnd_hi[rec->size], 0)) {
-      pc = rec->next;
-      FAULT(VmFault::kBndViolation,
-            StrFormat("bnd%d upper check failed for %s", rec->size,
-                      Hex(v2).c_str()));
-    }
-    const uint64_t c2 = fp_credit > 0 ? 0 : 1;
-    ++s_checks;
-    s_check_cyc += c2;
-    if (fp_credit > 0) --fp_credit;
-    cycles += c2;
-    ++rec;
-    ++instrs;
-    goto* kTL[rec->handler];
-  }
-
   // The MPX sandwich triple, packed exactly like the image's: shared
   // checked register/bounds id in rs1/bnd, the access in the natural
   // memory-operand fields with its register in rd and its word in imm.
@@ -1961,39 +1920,6 @@ dispatch_sw_as:
 #undef GEN_BS
 #undef PAIR_TAKEN_Jnz
 #undef PAIR_TAKEN_Jz
-
-  CASE(kHP_BndclR_BndcuR) {
-    // Packed: B's rs1 -> base, B's bnd -> size, pair next -> target. The
-    // checks fault per element (exact pcs) and the FP/MPX dual-issue credit
-    // is consumed, never reset, exactly like two END_CHECK postludes.
-    const uint64_t c1 = fp_credit > 0 ? 0 : 1;
-    if (PAIR_MUST_BAIL(c1)) goto kHBndclR_lbl;
-    const uint64_t v1 = R[rec->rs1];
-    if (__builtin_expect(v1 < map.bnd_lo[rec->bnd], 0)) {
-      FAULT(VmFault::kBndViolation,
-            StrFormat("bnd%d lower check failed for %s", rec->bnd,
-                      Hex(v1).c_str()));
-    }
-    ++s_checks;
-    s_check_cyc += c1;
-    if (fp_credit > 0) --fp_credit;
-    cycles += c1;
-    pc = rec->next;
-    ++instrs;
-    const uint64_t v2 = R[rec->base];
-    if (__builtin_expect(v2 > map.bnd_hi[rec->size], 0)) {
-      FAULT(VmFault::kBndViolation,
-            StrFormat("bnd%d upper check failed for %s", rec->size,
-                      Hex(v2).c_str()));
-    }
-    const uint64_t c2 = fp_credit > 0 ? 0 : 1;
-    ++s_checks;
-    s_check_cyc += c2;
-    if (fp_credit > 0) --fp_credit;
-    cycles += c2;
-    pc = rec->target;
-    DISPATCH();
-  }
 
   CASE(kHP_Add_BndclR) {
     if (PAIR_MUST_BAIL(1)) goto kHAdd_lbl;
@@ -2156,21 +2082,6 @@ dispatch_sw_as:
   CONFLLVM_PAIRS_FF(GEN_FF)
 #undef GEN_FF
 
-#define GEN_FSM(a, m)                                 \
-  CASE(kHP_##a##_##m) {                               \
-    if (PAIR_MUST_BAIL(3)) goto kH##a##_lbl;          \
-    FBODY_##a(rec);                                   \
-    cycles += 3;                                      \
-    pc = rec->next; /* the access may fault */        \
-    ++instrs;                                         \
-    fp_credit = 0; /* the memory op resets it */      \
-    PAIR_##m(rec->bnd);                               \
-    pc = rec->target;                                 \
-    DISPATCH();                                       \
-  }
-  CONFLLVM_PAIRS_FSM(GEN_FSM)
-#undef GEN_FSM
-
 #define GEN_FMS(m, b)                                 \
   CASE(kHP_##m##_##b) {                               \
     if (PAIR_MUST_BAIL_DYN()) goto kH##m##_lbl;       \
@@ -2231,22 +2142,7 @@ dispatch_sw_as:
   CONFLLVM_PAIRS_FAS(GEN_FAS)
 #undef GEN_FAS
 
-  // int simple -> float arith.
-#define GEN_SFA(a, b)                                  \
-  CASE(kHP_##a##_##b) {                                \
-    if (PAIR_MUST_BAIL(ECOST_##a)) goto kH##a##_lbl;   \
-    EBODY_##a(rec);                                    \
-    ++instrs;                                          \
-    PFBODY_##b(rec);                                   \
-    fp_credit = 1;                                     \
-    cycles += ECOST_##a + 3;                           \
-    pc = rec->target;                                  \
-    DISPATCH();                                        \
-  }
-  CONFLLVM_PAIRS_SFA(GEN_SFA)
-#undef GEN_SFA
-
-  // imm/reg -> float-bit materialization (movimm64; movif).
+  // imm -> float-bit materialization (movimm64; movif).
 #define GEN_SIF(a, b)                                  \
   CASE(kHP_##a##_##b) {                                \
     if (PAIR_MUST_BAIL(1)) goto kH##a##_lbl;           \
@@ -2261,7 +2157,7 @@ dispatch_sw_as:
   CONFLLVM_PAIRS_SIF(GEN_SIF)
 #undef GEN_SIF
 
-  // CFI magic materialization: imm -> not/neg (SS shape).
+  // CFI magic materialization: imm -> not (SS shape).
 #define GEN_SN(a, b)                                   \
   CASE(kHP_##a##_##b) {                                \
     if (PAIR_MUST_BAIL(ECOST_##a)) goto kH##a##_lbl;   \
@@ -2443,6 +2339,7 @@ done:
 
 #undef CASE
 #undef DISPATCH_TARGET
+#undef PIN_IN_REG
 #undef DISPATCH_AS
 #undef FAULT
 #undef DISPATCH

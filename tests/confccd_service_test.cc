@@ -9,22 +9,28 @@
 //   - cross-request single-flight is observable in the shared cache's
 //     stats (one producer, N-1 shared restores);
 //   - linked images are cached across requests (satellite: link-stage
-//     CacheKey chained over per-module codegen keys);
+//     CacheKey chained over per-module codegen keys), and the link
+//     response's graph stats stay valid JSON for any module name;
 //   - backpressure rejections are retryable `retry` responses, per-client
 //     cap before global queue cap, round-robin fairness across tenants;
 //   - a client killed mid-request costs the daemon nothing but a dropped
 //     response — the pool keeps serving;
-//   - connection churn leaks no fds, and a clean disconnect is not a bad
-//     frame;
+//   - connection churn leaks no fds and no thread stacks, and a clean
+//     disconnect is not a bad frame;
 //   - under injected service.accept / service.read / service.dispatch
 //     chaos, clients that retry still converge to correct results.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
+#ifdef __GLIBC__
+#include <malloc.h>  // mallopt
+#endif
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <mutex>
@@ -380,6 +386,49 @@ TEST_F(ConfccdServiceTest, LinkedImageIsCachedAcrossRequests) {
   server->Stop();
 }
 
+TEST_F(ConfccdServiceTest, LinkGraphJsonEscapesClientChosenModuleNames) {
+  // The client names the modules, so the build-graph stats the link
+  // response carries must stay valid JSON whatever the names hold, and give
+  // every name back unchanged.
+  const std::string odd = "le\"af\\x";
+  ConfccdServer::Options opts;
+  opts.sched.num_workers = 1;
+  auto server = StartServer(std::move(opts));
+
+  Json req = Json::Object();
+  req.Set("verb", Json::Str("link"));
+  Json modules = Json::Array();
+  Json leaf = Json::Object();
+  leaf.Set("name", Json::Str(odd));
+  leaf.Set("source", Json::Str("int square(int x) { return x * x; }"));
+  modules.Append(std::move(leaf));
+  Json app = Json::Object();
+  app.Set("name", Json::Str("app"));
+  app.Set("source", Json::Str("int main() { return 6; }"));
+  modules.Append(std::move(app));
+  req.Set("modules", std::move(modules));
+
+  ConfccdClient cli;
+  std::string err;
+  ASSERT_TRUE(cli.Connect(server->options().socket_path, &err)) << err;
+  Json resp;
+  ASSERT_TRUE(cli.CallWithRetry(req, &resp, &err)) << err;
+  ASSERT_EQ(resp.GetString("status"), "ok") << resp.GetString("diagnostics");
+
+  Json graph;
+  ASSERT_TRUE(Json::Parse(resp.GetString("graph_json"), &graph, &err))
+      << err << "\n" << resp.GetString("graph_json");
+  const Json* detail = graph.Find("module_detail");
+  ASSERT_NE(detail, nullptr);
+  std::vector<std::string> names;
+  for (const Json& m : detail->items()) {
+    names.push_back(m.GetString("name"));
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"app", odd}));
+  server->Stop();
+}
+
 TEST_F(ConfccdServiceTest, BackpressureRejectsAreRetryable) {
   ConfccdServer::Options opts;
   opts.sched.num_workers = 1;
@@ -519,12 +568,39 @@ size_t OpenFdCount() {
   return n;
 }
 
+// This process's virtual size from /proc/self/status, in bytes (0 if the
+// line is missing). Every unjoined thread keeps its stack mapped, so
+// thread leaks show up here even when the thread itself has exited.
+uint64_t VmSizeBytes() {
+  FILE* f = fopen("/proc/self/status", "r");
+  if (f == nullptr) {
+    return 0;
+  }
+  char line[256];
+  unsigned long long kib = 0;
+  while (fgets(line, sizeof line, f) != nullptr) {
+    if (sscanf(line, "VmSize: %llu kB", &kib) == 1) {
+      break;
+    }
+  }
+  fclose(f);
+  return kib * 1024;
+}
+
 TEST_F(ConfccdServiceTest, ConnectionChurnLeaksNoFdsAndCountsOnlyTornFrames) {
   ConfccdServer::Options opts;
   opts.sched.num_workers = 1;
   auto server = StartServer(std::move(opts));
   const std::string sock = server->options().socket_path;
   const size_t fds_before = OpenFdCount();
+
+  // Every thread that allocates may get its own C-library allocator arena,
+  // 64 MiB of address space kept for the life of the process whatever
+  // happens to the thread. Cap them so VmSize below tracks thread stacks.
+#ifdef __GLIBC__
+  mallopt(M_ARENA_MAX, 1);
+#endif
+  const uint64_t vm_size_before = VmSizeBytes();
 
   constexpr uint64_t kCycles = 200;
   Json ping = Json::Object();
@@ -553,6 +629,12 @@ TEST_F(ConfccdServiceTest, ConnectionChurnLeaksNoFdsAndCountsOnlyTornFrames) {
   EXPECT_EQ(stats.connections_accepted, kCycles);
   EXPECT_EQ(stats.connections_closed, stats.connections_accepted);
   EXPECT_EQ(stats.bad_frames, 0u);
+  // Finished readers are joined as new connections arrive, so 200 cycles
+  // leave a few thread stacks behind at most, not one per connection.
+  const uint64_t vm_size_after = VmSizeBytes();
+  ASSERT_GT(vm_size_before, 0u);
+  EXPECT_LT(vm_size_after, vm_size_before + 64 * 1024 * 1024)
+      << "VmSize grew from " << vm_size_before << " to " << vm_size_after;
 
   // A torn frame (the header promises 16 bytes, 3 arrive before the peer
   // closes) is still a bad frame.

@@ -42,6 +42,19 @@ const char* PresetName(BuildPreset p) {
   return "?";
 }
 
+bool ParsePresetName(const std::string& name, BuildPreset* out) {
+  const auto find_in = [&](const auto& family) {
+    for (const BuildPreset p : family) {
+      if (name == PresetName(p)) {
+        *out = p;
+        return true;
+      }
+    }
+    return false;
+  };
+  return find_in(kAllBuildPresets) || find_in(kCtBuildPresets);
+}
+
 BuildConfig BuildConfig::For(BuildPreset preset) {
   BuildConfig c;
   c.preset = preset;
@@ -107,6 +120,16 @@ BuildConfig BuildConfig::For(BuildPreset preset) {
       break;
   }
   return c;
+}
+
+BuildConfig BuildConfig::ForWholeProgram(BuildPreset preset, bool all_private) {
+  BuildConfig config = For(preset);
+  config.sema.all_private = all_private;
+  if (all_private) {
+    config.sema.implicit_flows = ImplicitFlowMode::kWarn;
+  }
+  config.whole_program = true;
+  return config;
 }
 
 std::unique_ptr<CompiledProgram> Compile(const std::string& source,

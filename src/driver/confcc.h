@@ -45,6 +45,10 @@ enum class BuildPreset : uint8_t {
 
 const char* PresetName(BuildPreset p);
 
+// The preset PresetName(p) names, from either family; false for any other
+// name. Shared by confcc's --preset and confccd's "preset" field.
+bool ParsePresetName(const std::string& name, BuildPreset* out);
+
 // All §7.1/§7.2 presets, in the table order (sweep helpers iterate this;
 // deliberately excludes the ct family so the paper-replication sweeps and
 // their baselines are unchanged).
@@ -82,6 +86,13 @@ struct BuildConfig {
   unsigned codegen_jobs = 1;
 
   static BuildConfig For(BuildPreset preset);
+  // The config confcc and confccd compile a program under: For(preset) as a
+  // whole program, with every unannotated value private (implicit flows
+  // then only warn) when `all_private`. One rule for both front ends keeps
+  // a request through the daemon byte-identical to the solo CLI. (A linked
+  // build compiles each module under a copy BuildScheduler makes with
+  // whole_program cleared.)
+  static BuildConfig ForWholeProgram(BuildPreset preset, bool all_private);
 };
 
 struct CompiledProgram {

@@ -21,47 +21,6 @@ namespace confllvm {
 
 namespace {
 
-bool ParsePresetName(const std::string& name, BuildPreset* out) {
-  for (const BuildPreset p : kAllBuildPresets) {
-    if (name == PresetName(p)) {
-      *out = p;
-      return true;
-    }
-  }
-  for (const BuildPreset p : kCtBuildPresets) {
-    if (name == PresetName(p)) {
-      *out = p;
-      return true;
-    }
-  }
-  return false;
-}
-
-// Mirrors confcc's ConfigFor so a request through the daemon compiles under
-// exactly the config the solo CLI would use (the byte-identity contract).
-BuildConfig ConfigForRequest(BuildPreset preset, bool all_private) {
-  BuildConfig config = BuildConfig::For(preset);
-  config.sema.all_private = all_private;
-  if (all_private) {
-    config.sema.implicit_flows = ImplicitFlowMode::kWarn;
-  }
-  config.whole_program = true;
-  return config;
-}
-
-bool ParseEngineName(const std::string& name, VmEngine* out) {
-  if (name == "ref") {
-    *out = VmEngine::kRef;
-  } else if (name == "fast") {
-    *out = VmEngine::kFast;
-  } else if (name == "trace") {
-    *out = VmEngine::kTrace;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 Json StageRows(const PipelineStats& ps) {
   Json rows = Json::Array();
   for (const StageStats& s : ps.stages) {
@@ -477,7 +436,7 @@ Json ConfccdServer::HandleCompile(const Json& req) {
     return ErrorResponse("unknown preset '" + preset_name + "'");
   }
   const BuildConfig config =
-      ConfigForRequest(preset, req.GetBool("all_private"));
+      BuildConfig::ForWholeProgram(preset, req.GetBool("all_private"));
   const bool verify = req.GetBool("verify") && WantsVerify(config);
 
   CompilerInvocation inv(source, config);
@@ -520,7 +479,7 @@ Json ConfccdServer::HandleLink(const Json& req) {
     return ErrorResponse("unknown preset '" + preset_name + "'");
   }
   const BuildConfig config =
-      ConfigForRequest(preset, req.GetBool("all_private"));
+      BuildConfig::ForWholeProgram(preset, req.GetBool("all_private"));
 
   DiagEngine gdiags;
   BuildGraph graph;
@@ -588,7 +547,7 @@ Json ConfccdServer::HandleExecute(const Json& req) {
       return ErrorResponse("unknown preset '" + preset_name + "'");
     }
     const BuildConfig config =
-        ConfigForRequest(preset, req.GetBool("all_private"));
+        BuildConfig::ForWholeProgram(preset, req.GetBool("all_private"));
     DiagEngine gdiags;
     BuildGraph graph;
     for (const Json& m : modules->items()) {
@@ -636,7 +595,7 @@ Json ConfccdServer::HandleExecute(const Json& req) {
       return ErrorResponse("unknown preset '" + preset_name + "'");
     }
     const BuildConfig config =
-        ConfigForRequest(preset, req.GetBool("all_private"));
+        BuildConfig::ForWholeProgram(preset, req.GetBool("all_private"));
     const bool verify = req.GetBool("verify") && WantsVerify(config);
     CompilerInvocation inv(source, config);
     inv.set_cache(&cache_);

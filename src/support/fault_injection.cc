@@ -30,15 +30,6 @@ std::vector<std::string> SplitClauses(const std::string& spec) {
   return out;
 }
 
-bool ParseU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  *out = strtoull(s.c_str(), &end, 0);
-  return end != nullptr && *end == '\0';
-}
-
 bool ParseProb(const std::string& s, double* out) {
   if (s.empty()) {
     return false;

@@ -1,7 +1,10 @@
 #include "src/support/strings.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace confllvm {
 
@@ -14,6 +17,22 @@ std::string Join(const std::vector<std::string>& parts, const std::string& sep) 
     out += parts[i];
   }
   return out;
+}
+
+bool ParseU64(const std::string& s, uint64_t* out) {
+  // strtoull alone skips leading whitespace and wraps a '-' into a huge
+  // value, so require a digit up front and the whole string consumed.
+  if (s.empty() || !isdigit(static_cast<unsigned char>(s[0]))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = strtoull(s.c_str(), &end, 0);
+  if (errno == ERANGE || *end != '\0') {
+    return false;
+  }
+  *out = v;
+  return true;
 }
 
 std::string StrFormat(const char* fmt, ...) {

@@ -133,26 +133,12 @@ uint16_t FusedHandler(uint16_t a, uint16_t b) {
   return table[a * kNumBaseHandlers + b];
 }
 
-// True when `op` ends a basic block: control leaves the straight line (or,
-// for kCallExt, crosses into T and may clobber/fault, so the trace tier
-// treats the call-out as a block edge too).
-bool IsBlockTerminator(Op op) {
-  switch (op) {
-    case Op::kJmp:
-    case Op::kJnz:
-    case Op::kJz:
-    case Op::kCall:
-    case Op::kICall:
-    case Op::kRet:
-    case Op::kJmpReg:
-    case Op::kTrap:
-    case Op::kCallExt:
-    case Op::kHalt:
-    case Op::kInvalid:
-      return true;
-    default:
-      return false;
-  }
+// True when `mi` ends a basic block: a Control row of the op table, whose
+// control leaves the straight line (or, for kCallExt, crosses into T and
+// may clobber/fault, so the trace tier treats the call-out as a block edge
+// too).
+bool IsBlockTerminator(const MInstr& mi) {
+  return kBaseOps[HandlerFor(mi)].kind == OpKind::kControl;
 }
 
 // Leaders, block extents, and static successor edges over the decoded slots.
@@ -185,7 +171,7 @@ void BuildBlockMetadata(const LoadedProgram& prog, ExecImage* img) {
     if (op == Op::kJmp || op == Op::kJnz || op == Op::kJz || op == Op::kCall) {
       mark(static_cast<uint32_t>(slot.instr->imm));
     }
-    if (IsBlockTerminator(op)) {
+    if (IsBlockTerminator(*slot.instr)) {
       mark(i + slot.words);  // fall-through resumption point
     }
     i += slot.words;
@@ -205,7 +191,7 @@ void BuildBlockMetadata(const LoadedProgram& prog, ExecImage* img) {
       ++b.num_instrs;
       const MInstr& mi = *slot.instr;
       const size_t next = w + slot.words;
-      if (IsBlockTerminator(mi.op)) {
+      if (IsBlockTerminator(mi)) {
         b.term = static_cast<uint32_t>(w);
         b.end = static_cast<uint32_t>(next);
         b.has_term = true;
@@ -281,7 +267,8 @@ void FillBaseExecRecord(const LoadedProgram& prog, size_t i, ExecRecord* out) {
     rec.seg = static_cast<uint8_t>(mi.mem.seg);
     rec.disp = mi.mem.disp;
     rec.size = mi.size1 ? 1 : 8;
-    rec.acc_cost = static_cast<uint8_t>(SegAccessCost(mi.mem));
+    rec.seg_extra = static_cast<uint8_t>(SegAccessCost(mi.mem) -
+                                         kBaseOps[kHLoad].cost);
     if (mi.mem.seg == Seg::kFs) {
       rec.seg_base = prog.map.fs;
     } else if (mi.mem.seg == Seg::kGs) {
@@ -359,7 +346,7 @@ std::shared_ptr<const ExecImage> BuildExecImage(const LoadedProgram& prog) {
     rec.scale = rc.scale;
     rec.seg = rc.seg;
     rec.size = rc.size;
-    rec.acc_cost = rc.acc_cost;
+    rec.seg_extra = rc.seg_extra;
     rec.disp = rc.disp;
     rec.seg_base = rc.seg_base;
     rec.imm = static_cast<int64_t>(k);  // the access word index (fault pc)
@@ -410,11 +397,7 @@ std::shared_ptr<const ExecImage> BuildExecImage(const LoadedProgram& prog) {
     // operands stay untouched (the pair handlers bail to its base handler
     // when a mid-pair budget/limit boundary could hit).
     const ExecRecord& rb = img->recs[j];
-    if (fused == kHP_Add_BndclR) {
-      rec.base = rb.rs1;    // B's checked register
-      rec.size = rb.bnd;    // B's bounds register id
-      rec.target = rb.next;
-    } else if (fused == kHP_Pop_Pop || fused == kHP_Push_Push) {
+    if (fused == kHP_Pop_Pop || fused == kHP_Push_Push) {
       rec.rs1 = rb.rd;  // B's popped/pushed register
       rec.target = rb.next;
     } else if (base[j] == kHLoad || base[j] == kHStore ||
@@ -432,7 +415,7 @@ std::shared_ptr<const ExecImage> BuildExecImage(const LoadedProgram& prog) {
       rec.scale = rb.scale;
       rec.seg = rb.seg;
       rec.size = rb.size;
-      rec.acc_cost = rb.acc_cost;
+      rec.seg_extra = rb.seg_extra;
       rec.disp = rb.disp;
       rec.seg_base = rb.seg_base;
       rec.target = rb.next;
@@ -471,9 +454,11 @@ std::shared_ptr<const ExecImage> BuildExecImage(const LoadedProgram& prog) {
       rec.seg_base = static_cast<uint64_t>(rb.imm);
       rec.disp = static_cast<int32_t>(rb.next);  // target holds A's own jmp
     } else {
+      // Everything else packs SS-style (a bound check's id rides in size).
       rec.base = rb.rd;
       rec.index = rb.rs1;
       rec.scale = rb.rs2;
+      rec.size = rb.bnd;
       rec.seg_base = static_cast<uint64_t>(rb.imm);
       rec.target = rb.next;
     }

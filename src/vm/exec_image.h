@@ -29,6 +29,51 @@ namespace confllvm {
 
 struct LoadedProgram;
 
+// ---- the base op table ----
+//
+// One row per base handler: X(name, kind, cost). It generates the base
+// handler ids below and, in vm_fast.cc, the outer and region handlers, the
+// fused-pair element bodies and the label tables; the trace tier reads the
+// kinds and costs through kBaseOps. Rows are in handler-id order; the cmp
+// and fcmp rows follow Cond (kHCmpEq + cc).
+//
+// Kinds:
+//  * Simple  - fixed cost, clears the FP dual-issue credit (div, rem,
+//              loadcode and chkstk may fault);
+//  * FpArith - fixed cost, leaves one FP dual-issue credit;
+//  * Mem     - a guest memory access: `cost` is a cache hit, plus the cache
+//              model's penalty and, for a segment-prefixed pointer operand,
+//              the record's seg_extra;
+//  * Check   - an MPX bound check: `cost`, or free when it consumes a credit;
+//  * Control - a control transfer, trap or halt: outer loop only, and it
+//              ends a trace region (calls add the cache penalty of their
+//              return-address push; the faulting and halting rows charge 0).
+#define CONFLLVM_BASE_OPS(X)                                               \
+  X(Invalid, Control, 0)                                                   \
+  X(MovImm, Simple, 1) /* also kMovImm64: payload pre-materialized */     \
+  X(Mov, Simple, 1) X(Add, Simple, 1) X(Sub, Simple, 1)                    \
+  X(Mul, Simple, 3) X(Div, Simple, 20) X(Rem, Simple, 20)                  \
+  X(And, Simple, 1) X(Or, Simple, 1) X(Xor, Simple, 1)                     \
+  X(Shl, Simple, 1) X(Shr, Simple, 1) X(AddImm, Simple, 1)                 \
+  X(Neg, Simple, 1) X(Not, Simple, 1)                                      \
+  X(CmpEq, Simple, 1) X(CmpNe, Simple, 1) X(CmpLt, Simple, 1)              \
+  X(CmpLe, Simple, 1) X(CmpGt, Simple, 1) X(CmpGe, Simple, 1)              \
+  X(Load, Mem, 2) X(Store, Mem, 2) X(FLoad, Mem, 2) X(FStore, Mem, 2)      \
+  X(Lea, Simple, 1) X(Push, Mem, 2) X(Pop, Mem, 2)                         \
+  X(Jmp, Control, 1) X(Jnz, Control, 1) X(Jz, Control, 1)                  \
+  X(Call, Control, 2) X(ICall, Control, 2) X(Ret, Control, 2)              \
+  X(JmpReg, Control, 2) X(LoadCode, Simple, 2)                             \
+  X(BndclR, Check, 1) X(BndcuR, Check, 1)                                  \
+  X(BndclM, Check, 2) X(BndcuM, Check, 2)                                  \
+  X(Chkstk, Simple, 2) X(Trap, Control, 0) X(CallExt, Control, 2)          \
+  X(Halt, Control, 0)                                                      \
+  X(FAdd, FpArith, 3) X(FSub, FpArith, 3) X(FMul, FpArith, 3)              \
+  X(FDiv, FpArith, 15) X(FNeg, Simple, 1)                                  \
+  X(FCmpEq, Simple, 2) X(FCmpNe, Simple, 2) X(FCmpLt, Simple, 2)           \
+  X(FCmpLe, Simple, 2) X(FCmpGt, Simple, 2) X(FCmpGe, Simple, 2)           \
+  X(CvtIF, Simple, 3) X(CvtFI, Simple, 3) X(MovIF, Simple, 1)              \
+  X(FMov, Simple, 1) X(Nop, Simple, 1) X(Select, Simple, 1)
+
 // ---- fused superinstruction pairs ----
 //
 // Interpreter throughput is bounded by the serial record-fetch chain (pc ->
@@ -41,10 +86,11 @@ struct LoadedProgram;
 // element's handler; the second keeps its own record, so jumps into it
 // behave as before, and pairs chain (A+B fused, C+D fused, ...).
 //
-// The X-macro lists below are the single source of truth: they generate the
-// handler enum (here), the label table and bodies (vm_fast.cc), and the
-// fusion lookup table (exec_image.cc), so the three can never get out of
-// sync. "Simple" ops are registers-only, fixed-cost, and cannot fault.
+// The X-macro lists below are the single source of truth for which pairs
+// exist: they generate the handler enum (here), the label tables and pair
+// handlers (vm_fast.cc), and the fusion lookup table (exec_image.cc). A pair
+// handler runs each element through that op's one body from the base op
+// table. "Simple" in the list comments means registers-only and fault-free.
 //
 // Which pairs are listed follows the reference-engine pair histogram in
 // bench/PAIR_HISTOGRAM.md (`bench_exec_throughput --pair-histogram`, every
@@ -121,72 +167,13 @@ struct LoadedProgram;
 #define CONFLLVM_PAIRS_FMS(Y) /* float load/store -> float arith */          \
   Y(FLoad, FAdd) Y(FLoad, FSub) Y(FLoad, FMul)
 
-// Handler ids for the token-threaded dispatch loop. Condition codes are
-// specialized into per-condition handlers (kHCmpEq + cc).
+// Handler ids for the token-threaded dispatch loop: the data-word trap, the
+// base ops, the fused pairs and triples, then the trace-tier slots.
 enum ExecHandler : uint16_t {
   kHExecData = 0,  // data / magic / continuation word: kExecData fault
-  kHInvalid,       // decoded kInvalid op (unreachable via the loader)
-  kHMovImm,        // also kMovImm64: the payload is pre-materialized in imm
-  kHMov,
-  kHAdd,
-  kHSub,
-  kHMul,
-  kHDiv,
-  kHRem,
-  kHAnd,
-  kHOr,
-  kHXor,
-  kHShl,
-  kHShr,
-  kHAddImm,
-  kHNeg,
-  kHNot,
-  kHCmpEq,  // kHCmpEq + (uint16_t)cc
-  kHCmpNe,
-  kHCmpLt,
-  kHCmpLe,
-  kHCmpGt,
-  kHCmpGe,
-  kHLoad,
-  kHStore,
-  kHFLoad,
-  kHFStore,
-  kHLea,
-  kHPush,
-  kHPop,
-  kHJmp,
-  kHJnz,
-  kHJz,
-  kHCall,
-  kHICall,
-  kHRet,
-  kHJmpReg,
-  kHLoadCode,
-  kHBndclR,
-  kHBndcuR,
-  kHBndclM,
-  kHBndcuM,
-  kHChkstk,
-  kHTrap,
-  kHCallExt,
-  kHHalt,
-  kHFAdd,
-  kHFSub,
-  kHFMul,
-  kHFDiv,
-  kHFNeg,
-  kHFCmpEq,  // kHFCmpEq + (uint16_t)cc
-  kHFCmpNe,
-  kHFCmpLt,
-  kHFCmpLe,
-  kHFCmpGt,
-  kHFCmpGe,
-  kHCvtIF,
-  kHCvtFI,
-  kHMovIF,
-  kHFMov,
-  kHNop,
-  kHSelect,
+#define CONFLLVM_YH(name, kind, cost) kH##name,
+  CONFLLVM_BASE_OPS(CONFLLVM_YH)
+#undef CONFLLVM_YH
   kNumBaseHandlers,
 
   // Fused pair handlers (order mirrors vm_fast.cc's label tables by sharing
@@ -241,6 +228,19 @@ enum ExecHandler : uint16_t {
   kNumExecHandlers,
 };
 
+// The kind and cost columns of the op table, indexed by base handler id.
+enum class OpKind : uint8_t { kSimple, kFpArith, kMem, kCheck, kControl };
+struct BaseOp {
+  OpKind kind;
+  uint8_t cost;
+};
+inline constexpr BaseOp kBaseOps[kNumBaseHandlers] = {
+    {OpKind::kControl, 0},  // kHExecData: a data word ends the straight line
+#define CONFLLVM_YK(name, kind, cost) {OpKind::k##kind, cost},
+    CONFLLVM_BASE_OPS(CONFLLVM_YK)
+#undef CONFLLVM_YK
+};
+
 // One code word, flattened. 40 bytes; a record never straddles more than
 // one 64-byte line boundary.
 struct ExecRecord {
@@ -253,7 +253,7 @@ struct ExecRecord {
   uint8_t scale = 0;
   uint8_t seg = 0;       // non-zero: mask base/index to their low 32 bits
   uint8_t size = 8;      // access size in bytes (1 or 8)
-  uint8_t acc_cost = 2;  // SegAccessCost for loads/stores; base cost else
+  uint8_t seg_extra = 0;  // SegAccessCost beyond a plain access's 2 cycles
   uint8_t bnd = 0;
   uint32_t next = 0;    // pre-resolved fallthrough word index
   uint32_t target = 0;  // pre-resolved branch/call target / import index
@@ -265,7 +265,8 @@ struct ExecRecord {
 // Segment-prefixed pointer accesses pay one extra cycle for the 32-bit
 // sub-register addressing constraint (paper §3); rsp-based frame accesses
 // need no extra work (rsp is already in-segment by chkstk). Shared by the
-// reference stepper (per access) and the ExecImage builder (per word, once).
+// reference stepper (per access) and the ExecImage builder (per word, once,
+// as ExecRecord::seg_extra).
 inline uint64_t SegAccessCost(const MemOperand& m) {
   return (m.seg != Seg::kNone && m.base != kRegSp) ? 3 : 2;
 }

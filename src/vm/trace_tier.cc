@@ -17,67 +17,23 @@ namespace {
 // block's record count — still fit a long straight-line block in one region.
 constexpr size_t kMaxTraceOps = 512;
 
+// Both read the op table (exec_image.h); only base handlers reach them.
 bool IsTerminatorHandler(uint16_t h) {
-  switch (h) {
-    case kHInvalid:
-    case kHJmp:
-    case kHJnz:
-    case kHJz:
-    case kHCall:
-    case kHICall:
-    case kHRet:
-    case kHJmpReg:
-    case kHTrap:
-    case kHCallExt:
-    case kHHalt:
-      return true;
-    default:
-      return false;
-  }
+  return kBaseOps[h].kind == OpKind::kControl;
 }
 
 // Upper bound on one op's reference-engine cycle cost, for the bounded-slice
-// entry precheck. Memory ops bound the cache model by its miss penalty;
-// checks use their full base cost (the FP dual-issue credit only lowers it).
-// kHCallExt is deliberately absent: trusted-call costs are unbounded, but a
-// call-out only ever terminates a block and the final op never enters the
-// precheck sum (the reference engine's next budget check happens after it).
+// entry precheck: memory ops bound the cache model by its miss penalty, and
+// checks use their full cost (the FP dual-issue credit only lowers it). A
+// control op's bound is never used: it only ever ends a region, and the
+// final op never enters the precheck sum (the reference engine's next
+// budget check happens after it) — which is what lets a trusted call-out,
+// whose cost is unbounded, end one.
 uint64_t WorstOpCycles(const ExecRecord& r) {
-  switch (r.handler) {
-    case kHDiv:
-    case kHRem:
-      return 20;
-    case kHMul:
-    case kHFAdd:
-    case kHFSub:
-    case kHFMul:
-    case kHCvtIF:
-    case kHCvtFI:
-      return 3;
-    case kHLoad:
-    case kHStore:
-    case kHFLoad:
-    case kHFStore:
-      return r.acc_cost + CacheModel::kMissPenalty;
-    case kHPush:
-    case kHPop:
-      return 2 + CacheModel::kMissPenalty;
-    case kHLoadCode:
-    case kHChkstk:
-    case kHBndclM:
-    case kHBndcuM:
-    case kHFCmpEq:
-    case kHFCmpNe:
-    case kHFCmpLt:
-    case kHFCmpLe:
-    case kHFCmpGt:
-    case kHFCmpGe:
-      return 2;
-    case kHFDiv:
-      return 15;
-    default:
-      return 1;  // ALU / mov / cmp / lea / nop / register bound checks
-  }
+  const BaseOp& op = kBaseOps[r.handler];
+  return op.kind == OpKind::kMem
+             ? op.cost + r.seg_extra + CacheModel::kMissPenalty
+             : op.cost;
 }
 
 }  // namespace
@@ -328,7 +284,7 @@ void TraceTier::Promote(uint32_t bid) {
         r.scale = c.scale;
         r.seg = c.seg;
         r.size = c.size;
-        r.acc_cost = c.acc_cost;
+        r.seg_extra = c.seg_extra;
         r.disp = c.disp;
         r.seg_base = c.seg_base;
         r.imm = static_cast<int64_t>(c.target);  // the access word's pc
@@ -407,7 +363,7 @@ void TraceTier::Promote(uint32_t bid) {
           r.scale = b2.scale;
           r.seg = b2.seg;
           r.size = b2.size;
-          r.acc_cost = b2.acc_cost;
+          r.seg_extra = b2.seg_extra;
           r.disp = b2.disp;
           r.seg_base = b2.seg_base;
         } else if (a.handler == kHLoad || a.handler == kHStore) {

@@ -27,6 +27,16 @@ const char* EngineName(VmEngine e) {
   return "?";
 }
 
+bool ParseEngineName(const std::string& name, VmEngine* out) {
+  for (const VmEngine e : {VmEngine::kRef, VmEngine::kFast, VmEngine::kTrace}) {
+    if (name == EngineName(e)) {
+      *out = e;
+      return true;
+    }
+  }
+  return false;
+}
+
 const char* FaultName(VmFault f) {
   switch (f) {
     case VmFault::kNone: return "none";

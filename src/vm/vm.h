@@ -98,6 +98,8 @@ enum class VmEngine : uint8_t {
 };
 
 const char* EngineName(VmEngine e);
+// The engine EngineName(e) names; false for any other name.
+bool ParseEngineName(const std::string& name, VmEngine* out);
 
 struct VmOptions {
   uint32_t num_cores = 4;

@@ -9,8 +9,8 @@
 // The corpus is real compiler output (several sources × instrumentation
 // presets), mutated by a seeded deterministic Rng: bit flips, byte
 // overwrites, truncations, and appends. Mutants that still deserialize are
-// pushed all the way through load, ConfVerify, a short reference-engine
-// execution, and a link against a pristine module.
+// pushed all the way through load, ConfVerify, a short execution on every
+// engine (which must agree exactly), and a link against a pristine module.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,6 +26,7 @@
 #include "src/support/rng.h"
 #include "src/verifier/verifier.h"
 #include "src/vm/vm.h"
+#include "tests/test_util.h"
 
 namespace confllvm {
 namespace {
@@ -107,8 +108,8 @@ std::vector<uint8_t> Mutate(const std::vector<uint8_t>& blob, Rng* rng) {
 }
 
 // One mutant, end to end: deserialize; if the encoding survives, load; if
-// the load survives, execute briefly on the reference engine and link it
-// against a pristine module. Every stage must either succeed or fail with a
+// the load survives, execute briefly on every engine and link it against a
+// pristine module. Every stage must either succeed or fail with a
 // diagnostic — the harness itself only asserts the "no crash / no silent
 // null" contract, the sanitizers assert memory cleanliness.
 void RunMutant(const std::vector<uint8_t>& mutant, BuildPreset preset,
@@ -139,15 +140,26 @@ void RunMutant(const std::vector<uint8_t>& mutant, BuildPreset preset,
   VerifyResult vr;
   EXPECT_NO_THROW(vr = Verify(*prog));
   EXPECT_TRUE(vr.ok || !vr.errors.empty());
-  // Loaded: a short bounded run must fault or finish, never escape. The
-  // reference engine skips the per-mutant ExecImage/flat-memory build the
-  // fast tiers pay.
-  TrustedLib tlib({config.alloc_policy});
-  VmOptions opts;
-  opts.engine = VmEngine::kRef;
-  opts.max_instrs = 5000;
-  Vm vm(prog.get(), &tlib, opts);
-  (void)vm.Call("main", {});
+  // Loaded: a short bounded run must fault or finish, never escape, and
+  // every engine must agree on how: the fast engine and the trace tier
+  // (promoting at the differential suites' low threshold, so mutated code
+  // also runs inside compiled regions) reproduce the reference stepper's
+  // CallResult and VmStats exactly.
+  const auto options = [](VmEngine engine) {
+    VmOptions o = testutil::EngineOpts(engine);
+    o.max_instrs = 5000;
+    return o;
+  };
+  TrustedLib ref_lib({config.alloc_policy});
+  Vm ref(prog.get(), &ref_lib, options(VmEngine::kRef));
+  const Vm::CallResult want = ref.Call("main", {});
+  for (const VmEngine engine : {VmEngine::kFast, VmEngine::kTrace}) {
+    SCOPED_TRACE(EngineName(engine));
+    TrustedLib lib({config.alloc_policy});
+    Vm vm(prog.get(), &lib, options(engine));
+    testutil::ExpectSameResult(want, vm.Call("main", {}));
+    testutil::ExpectSameStats(ref, vm);
+  }
 }
 
 TEST(BinaryFuzz, MutatedBlobsNeverCrashTheDecoderLoaderLinkerOrVm) {

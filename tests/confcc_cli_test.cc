@@ -1,7 +1,8 @@
 // End-to-end regression tests for the confcc driver's failure behaviour,
 // run against the real binary (CONFCC_PATH, injected by CMake): every
 // operational failure — missing input, unreadable cache dir, malformed
-// injection spec — exits nonzero with a one-line diagnostic, injected
+// injection spec, malformed numeric flag, unknown engine or preset — exits
+// nonzero with a one-line diagnostic, injected
 // chaos never changes emitted bytes, and the injector's hit-count report
 // lands where --inject-report points.
 #include <gtest/gtest.h>
@@ -167,6 +168,67 @@ TEST(ConfccCli, MalformedInjectEnvExitsWithDiagnostic) {
   EXPECT_NE(r.output.find("confcc: bad CONFCC_INJECT_FAULTS:"),
             std::string::npos)
       << r.output;
+}
+
+// A malformed value is rejected before anything runs: exit 2, a one-line
+// diagnostic naming the flag and the value, then the usage text (the way
+// an unknown --engine is rejected).
+void ExpectRejectedWithUsage(const std::string& flags,
+                             const std::string& diagnostic) {
+  TempDir dir;
+  const std::string src = dir.File("p.mc");
+  WriteFile(src, kSource);
+  const auto r = RunConfcc(flags + " " + src);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_EQ(r.output.substr(0, r.output.find('\n')), diagnostic) << r.output;
+  EXPECT_NE(r.output.find("\nusage: confcc"), std::string::npos) << r.output;
+}
+
+// Numeric flags parse the whole value as an unsigned integer: strtoull
+// alone read "abc" as 0, "5s" as 5, "1M" as 1 and "-1" as 2^64-1.
+TEST(ConfccCli, TraceThresholdRejectsNonNumericValue) {
+  ExpectRejectedWithUsage(
+      "--engine=trace --trace-threshold=abc",
+      "confcc: bad --trace-threshold 'abc' (expected an unsigned integer)");
+}
+
+TEST(ConfccCli, DeadlineMsRejectsTrailingUnit) {
+  ExpectRejectedWithUsage(
+      "--deadline-ms=5s",
+      "confcc: bad --deadline-ms '5s' (expected an unsigned integer)");
+}
+
+TEST(ConfccCli, CacheBytesRejectsSizeSuffix) {
+  ExpectRejectedWithUsage(
+      "--cache-bytes=1M",
+      "confcc: bad --cache-bytes '1M' (expected an unsigned integer)");
+}
+
+TEST(ConfccCli, CacheDiskBytesRejectsNegativeValue) {
+  ExpectRejectedWithUsage(
+      "--cache-disk-bytes=-1",
+      "confcc: bad --cache-disk-bytes '-1' (expected an unsigned integer)");
+}
+
+TEST(ConfccCli, ArgsRejectsNegativeElement) {
+  ExpectRejectedWithUsage(
+      "--args=1,-2",
+      "confcc: bad --args element '-2' (expected an unsigned integer)");
+}
+
+TEST(ConfccCli, InjectSeedRejectsNegativeValue) {
+  ExpectRejectedWithUsage("--inject-faults=seed=-1,disk.*=p0.05",
+                          "confcc: bad --inject-faults spec: bad seed '-1'");
+}
+
+TEST(ConfccCli, UnknownEngineExitsWithUsage) {
+  ExpectRejectedWithUsage(
+      "--engine=turbo",
+      "unknown engine 'turbo' (expected ref, fast or trace)");
+}
+
+TEST(ConfccCli, UnknownPresetExitsWithUsage) {
+  ExpectRejectedWithUsage("--preset=OurMagic", "unknown preset 'OurMagic'");
 }
 
 TEST(ConfccCli, VmDeadlineFlagReportsDeadlineFault) {

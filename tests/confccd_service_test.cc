@@ -11,6 +11,7 @@
 //   - linked images are cached across requests (satellite: link-stage
 //     CacheKey chained over per-module codegen keys), and the link
 //     response's graph stats stay valid JSON for any module name;
+//   - an unknown engine or preset is an error response naming it;
 //   - backpressure rejections are retryable `retry` responses, per-client
 //     cap before global queue cap, round-robin fairness across tenants;
 //   - a client killed mid-request costs the daemon nothing but a dropped
@@ -75,7 +76,7 @@ struct SoloResult {
 };
 
 // The solo-confcc reference: the exact compile+run path RunConnect would
-// have taken without --connect (mirrors the server's ConfigForRequest).
+// have taken without --connect (mirrors BuildConfig::ForWholeProgram).
 SoloResult SoloExecute(const std::string& source, uint64_t deadline_ms) {
   BuildConfig config = BuildConfig::For(BuildPreset::kOurMpx);
   config.whole_program = true;
@@ -426,6 +427,39 @@ TEST_F(ConfccdServiceTest, LinkGraphJsonEscapesClientChosenModuleNames) {
   }
   std::sort(names.begin(), names.end());
   EXPECT_EQ(names, (std::vector<std::string>{"app", odd}));
+  server->Stop();
+}
+
+TEST_F(ConfccdServiceTest, UnknownEngineAndPresetAreNamedErrors) {
+  // The daemon parses engine and preset names with the same functions as
+  // confcc: an unknown one is a `status: error` response naming the value.
+  ConfccdServer::Options opts;
+  opts.sched.num_workers = 1;
+  auto server = StartServer(std::move(opts));
+  ConfccdClient cli;
+  std::string err;
+  ASSERT_TRUE(cli.Connect(server->options().socket_path, &err)) << err;
+
+  Json bad_engine = ExecuteRequest("tenant", kQuickSrc);
+  bad_engine.Set("engine", Json::Str("turbo"));
+  Json bad_preset = ExecuteRequest("tenant", kQuickSrc);
+  bad_preset.Set("preset", Json::Str("OurMagic"));
+  Json bad_compile = Json::Object();
+  bad_compile.Set("verb", Json::Str("compile"));
+  bad_compile.Set("source", Json::Str(kQuickSrc));
+  bad_compile.Set("preset", Json::Str("OurMagic"));
+  const std::pair<Json, std::string> cases[] = {
+      {bad_engine, "unknown engine 'turbo'"},
+      {bad_preset, "unknown preset 'OurMagic'"},
+      {bad_compile, "unknown preset 'OurMagic'"},
+  };
+  for (const auto& [req, msg] : cases) {
+    SCOPED_TRACE(msg);
+    Json resp;
+    ASSERT_TRUE(cli.CallWithRetry(req, &resp, &err)) << err;
+    EXPECT_EQ(resp.GetString("status"), "error");
+    EXPECT_EQ(resp.GetString("error"), msg);
+  }
   server->Stop();
 }
 

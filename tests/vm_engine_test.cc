@@ -6,12 +6,15 @@
 // counter), cache-model hit/miss streams, trusted-library side effects —
 // for every workload under all eight presets, on success AND on every
 // fault path. The trace sessions run with a tiny promotion threshold so
-// the promoted whole-block path actually executes in every test. Plus
+// the promoted whole-block path actually executes in every test; a
+// dedicated case reaches the handlers no workload executes. Plus
 // unit tests for the satellites: ExecImage block metadata (leaders across
 // jump/call/fault edges, fused pairs spanning block boundaries, promotion
 // under RunParallel), exact max_instrs enforcement, Memory::Map
 // end-address overflow, and the O(1) function-name index.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "bench/workloads.h"
 #include "src/driver/artifact_cache.h"
@@ -113,6 +116,103 @@ TEST(EngineDiff, MultiCallSequencePreservesCacheModelState) {
   ASSERT_NE(tier, nullptr);
   EXPECT_GT(tier->stats.promoted_blocks, 0u);
   EXPECT_GT(tier->Telemetry().block_runs, 0u);
+}
+
+// Handlers no workload reaches: memory-form MPX checks (emitted for every
+// access once the guard-displacement shortcut is off), the fcmp conditions
+// eq/ne/le/ge, and nop (never emitted, so one is patched over a bound check
+// that always passes). Each must run identically on every engine, and on
+// the trace tier also inside a promoted region.
+TEST(EngineDiff, RareHandlersRunOnEveryEngineAndInsidePromotedRegions) {
+  const char* src = R"(
+    int g_buf[16];
+    int probe(int i) {
+      float f = (float)(i % 9);
+      float g = 4.0;
+      int hits = 0;
+      if (f == g) { hits = hits + 1; }
+      if (f != g) { hits = hits + 2; }
+      if (f <= g) { hits = hits + 4; }
+      if (f >= g) { hits = hits + 8; }
+      g_buf[i & 15] = g_buf[i & 15] + hits;
+      return hits;
+    }
+    int main() {
+      int s = 0;
+      for (int i = 0; i < 64; i = i + 1) {
+        s = s + probe(i);
+      }
+      return s + g_buf[3];
+    })";
+  BuildConfig config = BuildConfig::For(BuildPreset::kOurMpx);
+  config.codegen.mpx_guard_disp_opt = false;
+  const auto session = [&](VmEngine engine) -> std::unique_ptr<Session> {
+    DiagEngine d;
+    auto compiled = Compile(src, config, &d);
+    EXPECT_NE(compiled, nullptr) << d.ToString();
+    if (compiled == nullptr) {
+      return nullptr;
+    }
+    // The first bndcl.m after probe's entry guards its g_buf load.
+    LoadedProgram& prog = *compiled->prog;
+    const BinFunction* probe = nullptr;
+    for (const BinFunction& f : prog.binary.functions) {
+      probe = f.name == "probe" ? &f : probe;
+    }
+    EXPECT_NE(probe, nullptr);
+    size_t w = probe == nullptr ? prog.decoded.size() : probe->entry_word;
+    while (w < prog.decoded.size() &&
+           !(prog.decoded[w].instr.has_value() &&
+             prog.decoded[w].instr->op == Op::kBndclM)) {
+      ++w;
+    }
+    EXPECT_LT(w, prog.decoded.size());
+    if (w < prog.decoded.size()) {
+      EXPECT_EQ(prog.decoded[w].words, 1u);
+      MInstr nop{};
+      nop.op = Op::kNop;
+      std::vector<uint64_t> words;
+      Encode(nop, &words);
+      EXPECT_EQ(words.size(), 1u);
+      prog.binary.code[w] = words[0];
+      testutil::Redecode(&prog);
+    }
+    return MakeSessionFor(std::move(compiled), EngineOpts(engine));
+  };
+  EnginePair p{session(VmEngine::kRef), session(VmEngine::kFast),
+               session(VmEngine::kTrace)};
+  ASSERT_NE(p.ref, nullptr);
+  ASSERT_NE(p.fast, nullptr);
+  ASSERT_NE(p.trace, nullptr);
+  const Vm::CallResult want = p.ref->vm->Call("main", {});
+  EXPECT_TRUE(want.ok) << FaultName(want.fault) << " " << want.fault_msg;
+  EXPECT_EQ(want.ret, 577u);  // 545 over the 64 probes + g_buf[3] == 32
+  for (Session* s : {p.fast.get(), p.trace.get()}) {
+    SCOPED_TRACE(s == p.fast.get() ? "engine=fast" : "engine=trace");
+    ExpectSameResult(want, s->vm->Call("main", {}));
+    ExpectSameStats(*p.ref->vm, *s->vm);
+  }
+
+  const ExecImage& img = *p.fast->compiled->prog->exec_image;
+  const TraceTier* tier = p.trace->vm->trace_tier();
+  ASSERT_NE(tier, nullptr);
+  for (const uint16_t h : {kHBndclM, kHBndcuM, kHFCmpEq, kHFCmpNe, kHFCmpLe,
+                           kHFCmpGe, kHNop}) {
+    SCOPED_TRACE(h);
+    // The fast engine dispatches the handler itself (no fused record
+    // absorbs it)...
+    EXPECT_TRUE(std::any_of(img.recs.begin(), img.recs.end(),
+                            [h](const ExecRecord& r) { return r.handler == h; }));
+    // ... and a promoted region that ran holds it in its op list.
+    EXPECT_TRUE(std::any_of(
+        tier->blocks.begin(), tier->blocks.end(), [h](const TraceBlock& tb) {
+          return tb.promoted && tb.runs > 0 &&
+                 std::any_of(tb.ops.begin(), tb.ops.end(),
+                             [h](const ExecRecord& op) {
+                               return op.handler == h;
+                             });
+        }));
+  }
 }
 
 TEST(EngineDiff, RunParallelWaveAccountingIdentical) {

@@ -57,28 +57,13 @@
 #include "src/service/client.h"
 #include "src/service/protocol.h"
 #include "src/support/fault_injection.h"
+#include "src/support/strings.h"
 #include "src/vm/trace_tier.h"
 #include "src/verifier/verifier.h"
 
 using namespace confllvm;
 
 namespace {
-
-bool ParsePreset(const std::string& name, BuildPreset* out) {
-  for (BuildPreset p : kAllBuildPresets) {
-    if (name == PresetName(p)) {
-      *out = p;
-      return true;
-    }
-  }
-  for (BuildPreset p : kCtBuildPresets) {
-    if (name == PresetName(p)) {
-      *out = p;
-      return true;
-    }
-  }
-  return false;
-}
 
 int Usage() {
   fprintf(stderr,
@@ -102,6 +87,17 @@ int Usage() {
   return 2;
 }
 
+// Parses a numeric flag's value; a malformed one gets a one-line
+// diagnostic, and the caller exits with the usage text.
+bool ParseFlagU64(const char* flag, const std::string& value, uint64_t* out) {
+  if (ParseU64(value, out)) {
+    return true;
+  }
+  fprintf(stderr, "confcc: bad %s '%s' (expected an unsigned integer)\n",
+          flag, value.c_str());
+  return false;
+}
+
 struct Options {
   BuildPreset preset = BuildPreset::kOurMpx;
   bool sweep = false;  // --preset=all
@@ -115,9 +111,9 @@ struct Options {
   bool all_private = false;
   bool incremental = false;   // compile through the artifact cache
   bool cache_stats = false;   // print the cache counters row (implies cache)
-  size_t cache_bytes = 0;     // artifact-cache byte cap, 0 = unbounded
+  uint64_t cache_bytes = 0;   // artifact-cache byte cap, 0 = unbounded
   std::string cache_dir;      // persistent disk tier root (implies cache)
-  size_t cache_disk_bytes = 0;  // disk-tier byte cap, 0 = unbounded
+  uint64_t cache_disk_bytes = 0;  // disk-tier byte cap, 0 = unbounded
   std::string cache_stats_json;  // write the stats snapshot as JSON here
   std::string emit_bin;       // serialize compiled Binary(s) here
   VmEngine engine = VmOptions{}.engine;  // --engine=ref|fast|trace
@@ -187,18 +183,6 @@ bool EmitBinary(const Binary& bin, const std::string& path) {
   out.write(reinterpret_cast<const char*>(blob.data()),
             static_cast<std::streamsize>(blob.size()));
   return static_cast<bool>(out);
-}
-
-BuildConfig ConfigFor(BuildPreset preset, const Options& opt) {
-  BuildConfig config = BuildConfig::For(preset);
-  config.sema.all_private = opt.all_private;
-  if (opt.all_private) {
-    config.sema.implicit_flows = ImplicitFlowMode::kWarn;
-  }
-  // Sweep and single-file compiles are whole-program; --link rebuilds its
-  // own per-module configs (BuildScheduler) which never set this.
-  config.whole_program = true;
-  return config;
 }
 
 // Runs `entry` of one compiled program; returns false on fault. `quiet`
@@ -274,7 +258,7 @@ int RunSweep(const std::string& source, const Options& opt) {
     BatchJob job;
     job.label = PresetName(p);
     job.source = source;
-    job.config = ConfigFor(p, opt);
+    job.config = BuildConfig::ForWholeProgram(p, opt.all_private);
     // ConfVerify targets fully-instrumented secure binaries; skip for
     // Base-like presets and the single-stack OurMPX-Sep ablation even under
     // --verify (mirrors the paper's threat model).
@@ -427,8 +411,8 @@ int RunLink(const Options& opt) {
   }
   // Interface extraction and parse keys are preset-independent; any preset's
   // config carries the sema defaults Finalize needs.
-  const BuildConfig fin_cfg =
-      ConfigFor(opt.sweep ? BuildPreset::kOurMpx : opt.preset, opt);
+  const BuildConfig fin_cfg = BuildConfig::ForWholeProgram(
+      opt.sweep ? BuildPreset::kOurMpx : opt.preset, opt.all_private);
   if (!graph.Finalize(fin_cfg, &gdiags, cache.get(), opt.jobs)) {
     fputs(gdiags.ToString().c_str(), stderr);
     return 1;
@@ -449,7 +433,8 @@ int RunLink(const Options& opt) {
       const BuildPreset p = kAllBuildPresets[pi];
       BuildGraphStats stats;
       auto compiled =
-          BuildLinked(graph, ConfigFor(p, opt), opt, cache.get(), &stats);
+          BuildLinked(graph, BuildConfig::ForWholeProgram(p, opt.all_private),
+                      opt, cache.get(), &stats);
       graph_json += std::string("{\"preset\": \"") + PresetName(p) +
                     "\", \"graph\": " + stats.ToJson() + "}";
       graph_json += pi + 1 == kNumPresets ? "\n" : ",\n";
@@ -477,8 +462,9 @@ int RunLink(const Options& opt) {
     rc = failures == 0 ? 0 : 1;
   } else {
     BuildGraphStats stats;
-    auto compiled = BuildLinked(graph, ConfigFor(opt.preset, opt), opt,
-                                cache.get(), &stats);
+    auto compiled = BuildLinked(
+        graph, BuildConfig::ForWholeProgram(opt.preset, opt.all_private), opt,
+        cache.get(), &stats);
     graph_json = stats.ToJson();
     if (compiled == nullptr) {
       rc = 1;
@@ -742,7 +728,7 @@ int Main(int argc, char** argv) {
       const std::string name = a.substr(9);
       if (name == "all") {
         opt.sweep = true;
-      } else if (!ParsePreset(name, &opt.preset)) {
+      } else if (!ParsePresetName(name, &opt.preset)) {
         fprintf(stderr, "unknown preset '%s'\n", name.c_str());
         return Usage();
       }
@@ -752,7 +738,11 @@ int Main(int argc, char** argv) {
       std::stringstream ss(a.substr(7));
       std::string tok;
       while (std::getline(ss, tok, ',')) {
-        opt.args.push_back(strtoull(tok.c_str(), nullptr, 0));
+        uint64_t v = 0;
+        if (!ParseFlagU64("--args element", tok, &v)) {
+          return Usage();
+        }
+        opt.args.push_back(v);
       }
     } else if (a.rfind("--jobs=", 0) == 0) {
       // Parse signed so `--jobs=-1` cannot wrap to ~4 billion workers; zero
@@ -764,11 +754,16 @@ int Main(int argc, char** argv) {
         fprintf(stderr, "confcc: warning: %s\n", warning.c_str());
       }
     } else if (a.rfind("--cache-bytes=", 0) == 0) {
-      opt.cache_bytes = strtoull(a.substr(14).c_str(), nullptr, 0);
+      if (!ParseFlagU64("--cache-bytes", a.substr(14), &opt.cache_bytes)) {
+        return Usage();
+      }
     } else if (a.rfind("--cache-dir=", 0) == 0) {
       opt.cache_dir = a.substr(12);
     } else if (a.rfind("--cache-disk-bytes=", 0) == 0) {
-      opt.cache_disk_bytes = strtoull(a.substr(19).c_str(), nullptr, 0);
+      if (!ParseFlagU64("--cache-disk-bytes", a.substr(19),
+                        &opt.cache_disk_bytes)) {
+        return Usage();
+      }
     } else if (a.rfind("--cache-stats-json=", 0) == 0) {
       opt.cache_stats_json = a.substr(19);
     } else if (a.rfind("--emit-bin=", 0) == 0) {
@@ -781,19 +776,16 @@ int Main(int argc, char** argv) {
       opt.connect = a.substr(10);
     } else if (a.rfind("--engine=", 0) == 0) {
       const std::string name = a.substr(9);
-      if (name == "ref") {
-        opt.engine = VmEngine::kRef;
-      } else if (name == "fast") {
-        opt.engine = VmEngine::kFast;
-      } else if (name == "trace") {
-        opt.engine = VmEngine::kTrace;
-      } else {
+      if (!ParseEngineName(name, &opt.engine)) {
         fprintf(stderr, "unknown engine '%s' (expected ref, fast or trace)\n",
                 name.c_str());
         return Usage();
       }
     } else if (a.rfind("--trace-threshold=", 0) == 0) {
-      opt.trace_threshold = strtoull(a.substr(18).c_str(), nullptr, 0);
+      if (!ParseFlagU64("--trace-threshold", a.substr(18),
+                        &opt.trace_threshold)) {
+        return Usage();
+      }
     } else if (a.rfind("--trace-stats-json=", 0) == 0) {
       opt.trace_stats_json = a.substr(19);
     } else if (a.rfind("--inject-faults=", 0) == 0) {
@@ -805,7 +797,9 @@ int Main(int argc, char** argv) {
     } else if (a.rfind("--inject-report=", 0) == 0) {
       g_inject_report = a.substr(16);
     } else if (a.rfind("--deadline-ms=", 0) == 0) {
-      opt.deadline_ms = strtoull(a.substr(14).c_str(), nullptr, 0);
+      if (!ParseFlagU64("--deadline-ms", a.substr(14), &opt.deadline_ms)) {
+        return Usage();
+      }
     } else if (a == "--incremental") {
       opt.incremental = true;
     } else if (a == "--cache-stats") {
@@ -862,7 +856,7 @@ int Main(int argc, char** argv) {
     return RunSweep(buf.str(), opt);
   }
 
-  BuildConfig config = ConfigFor(opt.preset, opt);
+  BuildConfig config = BuildConfig::ForWholeProgram(opt.preset, opt.all_private);
   // Single-preset mode: --jobs shards per-function codegen emission (0 =
   // hardware concurrency, matching the sweep's worker semantics; output is
   // bit-identical for any value).

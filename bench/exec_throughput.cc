@@ -466,7 +466,7 @@ int RunBlockHistogram() {
                 w.fn, r.fault_msg.c_str());
         return 1;
       }
-      const ExecImage* img = s->compiled->prog->exec_image.get();
+      const ExecImage* img = s->compiled->prog->exec_image->built();
       for (size_t bid = 0; bid < profile.size() && bid < img->blocks.size();
            ++bid) {
         if (profile[bid] == 0) {

@@ -4,6 +4,7 @@
 
 #include "src/driver/disk_cache.h"
 #include "src/support/strings.h"
+#include "src/vm/exec_image.h"
 
 namespace confllvm {
 
@@ -149,9 +150,12 @@ size_t ApproxBytes(const Binary& b) {
   return n;
 }
 
+// Includes the ExecImage the program's slot can come to hold: a restore's
+// first fast or trace Vm attaches it to the cached master, so charging it at
+// Put keeps max_bytes a bound whether or not an image was ever built.
 size_t ApproxBytes(const LoadedProgram& p) {
   return ApproxBytes(p.binary) + p.decoded.size() * sizeof(DecodedSlot) +
-         p.global_addr.size() * 8 + sizeof(RegionMap);
+         p.global_addr.size() * 8 + sizeof(RegionMap) + ExecImageBytes(p);
 }
 
 uint64_t CacheStats::PrefixShares() const {

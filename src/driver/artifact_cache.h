@@ -18,7 +18,11 @@
 //
 // Eviction: least-recently-used under an optional byte cap. Entries store
 // rough byte estimates; readers holding a shared_ptr keep an evicted
-// artifact alive until they finish restoring from it.
+// artifact alive until they finish restoring from it. A Load artifact's
+// program shares its ExecImage slot (src/vm/program.h) with every restore,
+// so the first fast or trace Vm on any restore builds the one image all of
+// them run; its estimate charges that image up front, and a restored
+// program keeps the image alive after the artifact itself is evicted.
 //
 // Disk tier (src/driver/disk_cache.h): an optional persistent tier under the
 // in-memory store. Lookups are two-tier — memory, then disk, then compute —
@@ -130,7 +134,7 @@ struct StageArtifact {
   std::shared_ptr<const TypedProgram> typed;     // kSema
   std::shared_ptr<const IrModule> ir;            // kIrGen / kOpt
   std::shared_ptr<const Binary> binary;          // kCodegen / kLink
-  std::shared_ptr<const LoadedProgram> prog;     // kLoad
+  std::shared_ptr<const LoadedProgram> prog;     // kLoad (+ shared image slot)
   QualSolverStats solver;   // valid from kSema onward
   CodegenStats codegen;     // valid from kCodegen onward
   LinkStats link;           // kLink only

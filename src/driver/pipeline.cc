@@ -260,9 +260,13 @@ class VerifyStage : public Stage {
 //
 // Snapshot deep-clones the stage's output out of the invocation into an
 // immutable artifact; Restore deep-clones a cached artifact back into an
-// invocation. Both directions clone so no invocation ever aliases cache
-// state — that independence is what makes cached and cold builds
-// byte-identical and lets batch workers restore concurrently.
+// invocation. Both directions clone so no invocation ever aliases mutable
+// cache state — that independence is what makes cached and cold builds
+// byte-identical and lets batch workers restore concurrently. The one
+// shared piece is a LoadedProgram's ExecImage slot: the producer's program,
+// the Load artifact and every restore of it hold the same slot, so a
+// program's image is built at most once, by whichever Vm needs it first,
+// and never eagerly here (compile-only and ref-engine paths never need it).
 //
 // `diag_base` is the invocation's diagnostic count when its pipeline
 // started: everything past it was emitted by this pipeline and travels with

@@ -1,5 +1,6 @@
 #include "src/vm/exec_image.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "src/vm/program.h"
@@ -141,10 +142,11 @@ bool IsBlockTerminator(const MInstr& mi) {
   return kBaseOps[HandlerFor(mi)].kind == OpKind::kControl;
 }
 
-// Leaders, block extents, and static successor edges over the decoded slots.
-void BuildBlockMetadata(const LoadedProgram& prog, ExecImage* img) {
+// leader[w] == 1 iff word w starts a basic block: function entries, exit
+// stubs, static branch/call targets, and the word after a terminator or a
+// data word.
+std::vector<uint8_t> MarkLeaders(const LoadedProgram& prog) {
   const size_t n = prog.decoded.size();
-  img->block_of.assign(n, ExecImage::kNoBlock);
   std::vector<uint8_t> leader(n, 0);
   const auto mark = [&](uint64_t w) {
     if (w < n && prog.decoded[w].instr.has_value()) {
@@ -156,15 +158,22 @@ void BuildBlockMetadata(const LoadedProgram& prog, ExecImage* img) {
   }
   mark(prog.exit_stub_word[0]);
   mark(prog.exit_stub_word[1]);
-  // Stride by slot width so a movimm64 payload is never mistaken for a
-  // standalone data word (which WOULD start a region: CFI-checked returns
-  // skip over an embedded magic word and resume at the instruction right
-  // after it, so that instruction must be a leader).
-  for (size_t i = 0; i < n;) {
+  // Skip the continuation words of multi-word instructions so a movimm64
+  // payload is never mistaken for a standalone data word (which WOULD start
+  // a region: CFI-checked returns skip over an embedded magic word and
+  // resume at the instruction right after it, so that instruction must be a
+  // leader). `next` tracks the skip while the index steps by one: striding
+  // by each slot's loaded width would chain every iteration on the previous
+  // slot's load, and the artifact cache pays this walk on every Load
+  // (ExecImageBytes).
+  size_t next = 0;  // first word past the previous instruction
+  for (size_t i = 0; i < n; ++i) {
+    if (i < next) {
+      continue;
+    }
     const DecodedSlot& slot = prog.decoded[i];
     if (!slot.instr.has_value()) {
       mark(i + 1);  // dynamic control flow resumes past the data word
-      ++i;
       continue;
     }
     const Op op = slot.instr->op;
@@ -174,9 +183,18 @@ void BuildBlockMetadata(const LoadedProgram& prog, ExecImage* img) {
     if (IsBlockTerminator(*slot.instr)) {
       mark(i + slot.words);  // fall-through resumption point
     }
-    i += slot.words;
+    next = i + slot.words;
   }
+  return leader;
+}
 
+// Block extents and static successor edges over the decoded slots. `blocks`
+// is sized exactly (one per leader), so ExecImageBytes can count it.
+void BuildBlockMetadata(const LoadedProgram& prog, ExecImage* img) {
+  const size_t n = prog.decoded.size();
+  img->block_of.assign(n, ExecImage::kNoBlock);
+  const std::vector<uint8_t> leader = MarkLeaders(prog);
+  img->blocks.reserve(std::count(leader.begin(), leader.end(), 1));
   for (size_t i = 0; i < n; ++i) {
     if (!leader[i]) {
       continue;
@@ -292,7 +310,6 @@ void FillBaseExecRecord(const LoadedProgram& prog, size_t i, ExecRecord* out) {
 
 std::shared_ptr<const ExecImage> BuildExecImage(const LoadedProgram& prog) {
   auto img = std::make_shared<ExecImage>();
-  img->code = prog.binary.code;
   img->recs.resize(prog.decoded.size());
   for (size_t i = 0; i < prog.decoded.size(); ++i) {
     FillBaseExecRecord(prog, i, &img->recs[i]);
@@ -469,6 +486,23 @@ std::shared_ptr<const ExecImage> BuildExecImage(const LoadedProgram& prog) {
   // (VmOptions::block_profile) key off it.
   BuildBlockMetadata(prog, img.get());
   return img;
+}
+
+size_t ExecImageBytes(const LoadedProgram& prog) {
+  const std::vector<uint8_t> leader = MarkLeaders(prog);
+  const size_t blocks = std::count(leader.begin(), leader.end(), 1);
+  return sizeof(ExecImage) +
+         prog.decoded.size() * (sizeof(ExecRecord) + sizeof(uint32_t)) +
+         blocks * sizeof(ExecBlock);
+}
+
+const std::shared_ptr<const ExecImage>& ExecImageSlot::Get(
+    const LoadedProgram& prog) {
+  std::call_once(once_, [&] {
+    image_ = BuildExecImage(prog);
+    built_.store(image_.get(), std::memory_order_release);
+  });
+  return image_;
 }
 
 }  // namespace confllvm

@@ -5,7 +5,8 @@
 // the opcode, recomputes the segment base and the SegAccessCost, and
 // re-resolves jump targets. Mirroring ConfLLVM's own discipline of paying
 // for protection at load time (hardware fast paths, §7), ExecImage does all
-// of that ONCE per LoadedProgram: every code word becomes a dense
+// of that ONCE per loaded program, however many copies of it the artifact
+// cache restores: every code word becomes a dense
 // ExecRecord with a pre-resolved handler id, precomputed base cost,
 // pre-resolved fallthrough/branch word indices, and the segment base baked
 // in. Data words (magic words, movimm64 payloads) become explicit trap
@@ -14,8 +15,12 @@
 // hold the pairs the checked-in reference-engine pair histogram counts at
 // least 10,000 times.
 //
-// The image is immutable and derived purely from the program's decoded code,
-// region map and code words, so clones of a LoadedProgram share one image.
+// The image is immutable and derived purely from the program's decoded
+// slots and region map, so every copy of a LoadedProgram shares one image
+// through its ExecImageSlot (program.h): the first Vm that needs it builds
+// it, and an artifact-cache Load artifact and all of its restores share
+// that one build. ExecImageBytes sizes an image without building it, which
+// is how the cache charges the image before any Vm has run.
 #ifndef CONFLLVM_SRC_VM_EXEC_IMAGE_H_
 #define CONFLLVM_SRC_VM_EXEC_IMAGE_H_
 
@@ -290,7 +295,6 @@ struct ExecBlock {
 
 struct ExecImage {
   std::vector<ExecRecord> recs;  // one per code word
-  std::vector<uint64_t> code;    // private copy for kLoadCode (CFI reads)
 
   // Static basic-block metadata over the same word indices: the trace tier's
   // promotion map and the bench's --block-histogram both key off it.
@@ -303,9 +307,16 @@ struct ExecImage {
   size_t size() const { return recs.size(); }
 };
 
-// Flattens `prog` (its decoded slots, region map and code image) into an
-// ExecImage. Pure function of the program's content.
+// Flattens `prog` (its decoded slots and region map) into an ExecImage.
+// Pure function of the program's content. Vms reach it through
+// LoadedProgram::exec_image, which builds once per program and its copies.
 std::shared_ptr<const ExecImage> BuildExecImage(const LoadedProgram& prog);
+
+// The bytes BuildExecImage(prog) allocates and retains: one ExecRecord and
+// one block_of entry per code word, one ExecBlock per block, and the
+// ExecImage itself. Computed without building, from the word count and the
+// block leaders.
+size_t ExecImageBytes(const LoadedProgram& prog);
 
 // Fills `rec` with word `w`'s UNFUSED base record (the pre-fusion per-word
 // flattening BuildExecImage starts from). The trace tier compiles promoted

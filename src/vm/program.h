@@ -4,8 +4,10 @@
 #ifndef CONFLLVM_SRC_VM_PROGRAM_H_
 #define CONFLLVM_SRC_VM_PROGRAM_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -53,6 +55,26 @@ struct DecodedSlot {
   uint32_t words = 1;
 };
 
+struct LoadedProgram;
+
+// A program's fast-engine ExecImage (exec_image.h), built at most once and
+// shared by every LoadedProgram copy that holds this slot.
+class ExecImageSlot {
+ public:
+  // The image, built from `prog` by the first caller; concurrent callers
+  // wait for that one build, and every caller gets the same image.
+  const std::shared_ptr<const ExecImage>& Get(const LoadedProgram& prog);
+  // The image if it has been built, else null. Never builds.
+  const ExecImage* built() const {
+    return built_.load(std::memory_order_acquire);
+  }
+
+ private:
+  std::once_flag once_;
+  std::shared_ptr<const ExecImage> image_;
+  std::atomic<const ExecImage*> built_{nullptr};
+};
+
 struct LoadedProgram {
   Binary binary;  // post-link patched (magic words, global refs)
   std::vector<DecodedSlot> decoded;
@@ -67,14 +89,17 @@ struct LoadedProgram {
   bool separate_t_memory = true;  // false: Our1Mem (no stack/gs switch)
   bool unified_bounds = false;    // OurMPX-Sep: both bnds cover all of U
 
-  // Fast-engine execution image, built lazily (under a lock) by the first
-  // Vm that selects VmEngine::kFast on THIS LoadedProgram instance and
-  // shared by later Vms of the same instance. It is a pure function of the
-  // fields above, so copies inherit it when present — but artifact-cache
-  // restores copy from a master that never ran, so each restored program
-  // builds its own image on first fast-engine use. Mutating binary.code or
-  // decoded after an image exists requires resetting this pointer.
-  std::shared_ptr<const ExecImage> exec_image;
+  // Fast-engine execution image slot. Every program LoadBinary returns
+  // starts with a fresh, empty slot; copies share it, so the artifact
+  // cache's Load master and every restore of it hold one image between
+  // them. It is filled lazily, by the first Vm that needs an image (engine
+  // fast or trace, or a block profile); compile-only, verify-only and
+  // ref-engine paths leave it empty. The image is a pure function of
+  // decoded and map, and decoded follows binary.code: code that patches a
+  // loaded program's code words or slots must first give it a fresh slot
+  // (`exec_image = std::make_shared<ExecImageSlot>()`), so no other copy's
+  // image goes stale.
+  std::shared_ptr<ExecImageSlot> exec_image = std::make_shared<ExecImageSlot>();
 
   uint64_t EntryWordOf(const std::string& name) const {
     const int i = binary.FunctionIndex(name);

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <mutex>
 
 #include "src/isa/layout.h"
 #include "src/support/strings.h"
@@ -67,16 +66,13 @@ Vm::Vm(LoadedProgram* prog, TrustedCallout* trusted, VmOptions opts)
   }
   mem_.Map(m.t_base, m.t_size);
   if (opts_.engine != VmEngine::kRef || opts_.block_profile != nullptr) {
-    // Guarded: Vms may be constructed concurrently on one shared program.
-    static std::mutex image_mu;
-    std::lock_guard<std::mutex> lock(image_mu);
-    if (prog_->exec_image == nullptr) {
-      prog_->exec_image = BuildExecImage(*prog_);
-    }
-    image_ = prog_->exec_image.get();
+    // The first Vm on any copy of this program builds the image; Vms
+    // constructed concurrently on copies of it wait for that one build.
+    image_ = prog_->exec_image->Get(*prog_);
   }
   if (opts_.engine == VmEngine::kTrace) {
-    trace_ = std::make_unique<TraceTier>(prog_, image_, opts_.trace_threshold);
+    trace_ = std::make_unique<TraceTier>(prog_, image_.get(),
+                                         opts_.trace_threshold);
   }
   if (opts_.pair_histogram != nullptr && opts_.pair_histogram->size() < 256 * 256) {
     opts_.pair_histogram->assign(256 * 256, 0);

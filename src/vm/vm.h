@@ -87,7 +87,8 @@ struct VmStats {
 
 // Which interpreter runs vISA. All tiers are bit-identical in observable
 // behaviour (CallResult, VmStats, fault kind/pc/message, memory effects,
-// cycle counts); kFast trades a one-time ExecImage build per LoadedProgram
+// cycle counts); kFast trades a one-time ExecImage build per loaded program
+// (shared by all of its copies, such as every artifact-cache restore of it)
 // for a several-times-faster hot loop, and kTrace adds runtime hot-block
 // promotion on top of it (see ARCHITECTURE.md "Engine tiers").
 // tests/vm_engine_test.cc enforces the equivalence differentially.
@@ -230,7 +231,9 @@ class Vm {
   Memory mem_;
   CacheModel cache_;
   VmStats stats_;
-  const ExecImage* image_ = nullptr;  // set iff engine != kRef (or profiling)
+  // Set iff engine != kRef (or profiling). Held, not borrowed, so a program
+  // given a fresh slot after this Vm was built cannot free it underneath.
+  std::shared_ptr<const ExecImage> image_;
   std::unique_ptr<TraceTier> trace_;  // set iff engine == kTrace
 };
 

@@ -504,7 +504,7 @@ void Vm::RunSliceFastImpl(ThreadCtx* t, const uint64_t budget) {
   const ExecRecord* const recs =
       tt != nullptr ? tt->recs.data() : image_->recs.data();
   const uint64_t nrecs = image_->recs.size();
-  const uint64_t* const code = image_->code.data();
+  const uint64_t* const code = prog_->binary.code.data();
   const RegionMap& map = prog_->map;
   const uint64_t max_instrs = opts_.max_instrs;
   const uint64_t stack_lo = t->stack_lo;

@@ -1,9 +1,10 @@
 // Tests for the artifact cache (src/driver/artifact_cache.h) and the
 // incremental pipeline built on it: hit/miss accounting, single-flight
 // front-end sharing across the preset sweep, key sensitivity, LRU eviction
-// under a byte cap, deep-clone independence, and the extended equivalence
-// guarantee — warm, incremental, and batch-cached builds are byte-identical
-// to cold sequential builds for all eight presets.
+// under a byte cap, deep-clone independence, one shared ExecImage per
+// cached program, and the extended equivalence guarantee — warm,
+// incremental, and batch-cached builds are byte-identical to cold
+// sequential builds for all eight presets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,8 @@
 #include "src/driver/pipeline.h"
 #include "src/ir/irgen.h"
 #include "src/lang/parser.h"
+#include "src/vm/exec_image.h"
+#include "tests/test_util.h"
 
 namespace confllvm {
 namespace {
@@ -367,6 +370,199 @@ TEST(ArtifactCache, EvictionPreservesCorrectness) {
     EXPECT_EQ(cp->prog->binary.code, cold->prog->binary.code) << round;
   }
   EXPECT_LE(cache.stats().bytes_retained, 1024u);
+}
+
+// ---- One ExecImage per cached program ----
+//
+// The cold invocation's program, its Load artifact and every restore of it
+// share one ExecImage slot (src/vm/program.h): the first fast or trace Vm
+// on any of them builds the image, every other one runs that image, and
+// paths that need no image never build one.
+
+using testutil::EngineOpts;
+using testutil::ExpectSameResult;
+using testutil::ExpectSameStats;
+
+// An uncached reference-engine session: what every cached run must match.
+std::unique_ptr<Session> RefSession(const std::string& src, BuildPreset preset) {
+  DiagEngine diags;
+  auto s = MakeSession(src, preset, &diags, EngineOpts(VmEngine::kRef));
+  EXPECT_NE(s, nullptr) << diags.ToString();
+  return s;
+}
+
+// A warm (or cold) compile through `cache`, wrapped in a session on `engine`.
+std::unique_ptr<Session> CachedSession(const std::string& src,
+                                       const BuildConfig& config,
+                                       ArtifactCache* cache, VmEngine engine) {
+  auto cp = CompileCached(src, config, cache);
+  return cp == nullptr ? nullptr : MakeSessionFor(std::move(cp), EngineOpts(engine));
+}
+
+TEST(SharedExecImage, WarmRestoresRunTheColdProgramsImage) {
+  ArtifactCache cache;
+  const BuildConfig config = BuildConfig::For(BuildPreset::kOurMpx);
+  auto ref = RefSession(kSource, BuildPreset::kOurMpx);
+  ASSERT_NE(ref, nullptr);
+  const Vm::CallResult want = ref->vm->Call("main", {});
+  ASSERT_TRUE(want.ok) << want.fault_msg;
+
+  auto cold = CachedSession(kSource, config, &cache, VmEngine::kFast);
+  ASSERT_NE(cold, nullptr);
+  const ExecImage* img = cold->compiled->prog->exec_image->built();
+  ASSERT_NE(img, nullptr);
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    auto warm = CachedSession(kSource, config, &cache, VmEngine::kFast);
+    ASSERT_NE(warm, nullptr);
+    EXPECT_EQ(warm->compiled->prog->exec_image->built(), img);
+    ExpectSameResult(want, warm->vm->Call("main", {}));
+    ExpectSameStats(*ref->vm, *warm->vm);
+  }
+  EXPECT_EQ(cache.stats().hits_by_stage[Idx(StageId::kLoad)], 2u);
+}
+
+TEST(SharedExecImage, CompileVerifyAndRefPathsBuildNone) {
+  ArtifactCache cache;
+  const BuildConfig config = BuildConfig::For(BuildPreset::kOurMpx);
+  auto cold = CompileCached(kSource, config, &cache);
+  ASSERT_NE(cold, nullptr);
+
+  auto compiled = CompileCached(kSource, config, &cache);
+  ASSERT_NE(compiled, nullptr);
+  EXPECT_EQ(compiled->prog->exec_image, cold->prog->exec_image);  // one slot
+  EXPECT_EQ(compiled->prog->exec_image->built(), nullptr);
+
+  CompilerInvocation inv(kSource, config);
+  inv.set_cache(&cache);
+  ASSERT_TRUE(RunStandardPipeline(&inv, /*verify=*/true))
+      << inv.diags().ToString();
+  ASSERT_NE(inv.verify_result, nullptr);
+  EXPECT_TRUE(inv.verify_result->ok) << inv.verify_result->ErrorText();
+  EXPECT_EQ(inv.prog->exec_image->built(), nullptr);
+
+  auto ref = CachedSession(kSource, config, &cache, VmEngine::kRef);
+  ASSERT_NE(ref, nullptr);
+  EXPECT_TRUE(ref->vm->Call("main", {}).ok);
+  EXPECT_EQ(ref->compiled->prog->exec_image->built(), nullptr);
+  EXPECT_EQ(cold->prog->exec_image->built(), nullptr);
+}
+
+TEST(SharedExecImage, ConcurrentRestoresBuildExactlyOneImage) {
+  ArtifactCache cache;
+  const BuildConfig config = BuildConfig::For(BuildPreset::kOurSeg);
+  auto ref = RefSession(kSource, BuildPreset::kOurSeg);
+  ASSERT_NE(ref, nullptr);
+  const Vm::CallResult want = ref->vm->Call("main", {});
+  auto cold = CompileCached(kSource, config, &cache);  // no Vm: slot empty
+  ASSERT_NE(cold, nullptr);
+
+  // Every thread restores first, then all construct their Vms at once, so
+  // the first-use builds race on the one shared slot.
+  constexpr int kThreads = 8;
+  std::atomic<int> restored{0};
+  std::vector<std::unique_ptr<Session>> sessions(kThreads);
+  std::vector<Vm::CallResult> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      auto cp = CompileCached(kSource, config, &cache);
+      restored.fetch_add(1);
+      while (restored.load() < kThreads) {
+        std::this_thread::yield();
+      }
+      if (cp == nullptr) {
+        return;
+      }
+      sessions[i] = MakeSessionFor(
+          std::move(cp),
+          EngineOpts(i % 2 == 0 ? VmEngine::kFast : VmEngine::kTrace));
+      results[i] = sessions[i]->vm->Call("main", {});
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  const ExecImage* img = cold->prog->exec_image->built();
+  ASSERT_NE(img, nullptr);
+  for (int i = 0; i < kThreads; ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_NE(sessions[i], nullptr);
+    EXPECT_EQ(sessions[i]->compiled->prog->exec_image->built(), img);
+    ExpectSameResult(want, results[i]);
+    ExpectSameStats(*ref->vm, *sessions[i]->vm);
+  }
+}
+
+TEST(SharedExecImage, LoadArtifactChargesItsImageBuiltOrNot) {
+  ArtifactCache cache;
+  BuildConfig config = BuildConfig::For(BuildPreset::kOurMpx);
+  ASSERT_NE(CompileCached(kSource, config, &cache), nullptr);
+  const size_t before = cache.stats().bytes_retained;
+  // A magic-seed change re-runs Load alone: the byte delta is one Load
+  // artifact's charge, taken at Put with no image built yet.
+  config.load.magic_seed = 0xfeed;
+  auto cold = CompileCached(kSource, config, &cache);
+  ASSERT_NE(cold, nullptr);
+  ASSERT_EQ(cold->prog->exec_image->built(), nullptr);
+  const size_t charged = cache.stats().bytes_retained - before;
+
+  auto warm = CachedSession(kSource, config, &cache, VmEngine::kFast);
+  ASSERT_NE(warm, nullptr);
+  const ExecImage* img = warm->compiled->prog->exec_image->built();
+  ASSERT_NE(img, nullptr);
+  EXPECT_EQ(cache.stats().bytes_retained - before, charged);  // unchanged
+
+  // ExecImageBytes predicts the built image's footprint exactly, and the
+  // charge covers it on top of the program's binary and decoded slots.
+  const size_t image_bytes = sizeof(ExecImage) +
+                             img->recs.capacity() * sizeof(ExecRecord) +
+                             img->block_of.capacity() * sizeof(uint32_t) +
+                             img->blocks.capacity() * sizeof(ExecBlock);
+  EXPECT_EQ(ExecImageBytes(*cold->prog), image_bytes);
+  EXPECT_GE(charged, ApproxBytes(cold->prog->binary) +
+                         cold->prog->decoded.size() * sizeof(DecodedSlot) +
+                         image_bytes);
+}
+
+TEST(SharedExecImage, EvictingTheLoadArtifactMidRunKeepsTheSessionWhole) {
+  // Long enough that compiling kSource below overlaps the guest run.
+  const std::string loop =
+      "int main() { int s = 0; for (int i = 0; i < 200000; i = i + 1) "
+      "{ s = s + i % 7; } return s; }";
+  const BuildConfig config = BuildConfig::For(BuildPreset::kOurMpx);
+  auto ref = RefSession(loop, BuildPreset::kOurMpx);
+  ASSERT_NE(ref, nullptr);
+  const Vm::CallResult want = ref->vm->Call("main", {});
+  ASSERT_TRUE(want.ok) << want.fault_msg;
+
+  // Cap the cache at exactly one compile of `loop`: the larger kSource's
+  // artifacts then push every one of loop's out, oldest first.
+  ArtifactCache sizing;
+  ASSERT_NE(CompileCached(loop, config, &sizing), nullptr);
+  ArtifactCache cache(sizing.stats().bytes_retained);
+  ASSERT_NE(CompileCached(loop, config, &cache), nullptr);
+  auto s = CachedSession(loop, config, &cache, VmEngine::kFast);
+  ASSERT_NE(s, nullptr);
+  ASSERT_EQ(cache.stats().hits_by_stage[Idx(StageId::kLoad)], 1u);
+  const ExecImage* img = s->compiled->prog->exec_image->built();
+  ASSERT_NE(img, nullptr);
+
+  Vm::CallResult got;
+  std::thread run([&] { got = s->vm->Call("main", {}); });
+  EXPECT_NE(CompileCached(kSource, config, &cache), nullptr);
+  run.join();
+  ExpectSameResult(want, got);
+  ExpectSameStats(*ref->vm, *s->vm);
+  EXPECT_EQ(s->compiled->prog->exec_image->built(), img);
+
+  // The Load artifact really was evicted: a recompile runs Load again.
+  PipelineStats again;
+  ASSERT_NE(CompileCached(loop, config, &cache, &again), nullptr);
+  ASSERT_FALSE(again.stages.empty());
+  EXPECT_EQ(again.stages.back().id, StageId::kLoad);
+  EXPECT_TRUE(again.stages.back().ran);
+  EXPECT_FALSE(again.stages.back().cached);
 }
 
 // ---- Stats snapshot coherence ----

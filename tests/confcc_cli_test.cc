@@ -4,7 +4,8 @@
 // injection spec, malformed numeric flag, unknown engine or preset — exits
 // nonzero with a one-line diagnostic, injected
 // chaos never changes emitted bytes, and the injector's hit-count report
-// lands where --inject-report points.
+// lands where --inject-report points. The confccd daemon's numeric flags
+// are checked the same way against its real binary (CONFCCD_PATH).
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -28,11 +29,8 @@ struct RunResult {
   std::string output;  // stdout + stderr, interleaved
 };
 
-// Runs the real confcc with `args` through the shell (so env-var prefixes
-// work), capturing both streams.
-RunResult RunConfcc(const std::string& args, const std::string& env = "") {
-  const std::string cmd =
-      env + (env.empty() ? "" : " ") + CONFCC_PATH + " " + args + " 2>&1";
+// Runs `cmd` through the shell, capturing both streams.
+RunResult RunShell(const std::string& cmd) {
   RunResult r;
   FILE* pipe = popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << cmd;
@@ -47,6 +45,22 @@ RunResult RunConfcc(const std::string& args, const std::string& env = "") {
   const int status = pclose(pipe);
   r.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return r;
+}
+
+// Runs the real confcc with `args` through the shell (so env-var prefixes
+// work), capturing both streams.
+RunResult RunConfcc(const std::string& args, const std::string& env = "") {
+  return RunShell(env + (env.empty() ? "" : " ") + CONFCC_PATH + " " + args +
+                  " 2>&1");
+}
+
+// Runs the real confccd with `args`, capturing both streams. A daemon that
+// accepts its flags serves until it is stopped, so the run is capped by
+// `timeout`: a flag that should have been rejected fails the test with
+// exit 124 instead of hanging it.
+RunResult RunConfccd(const std::string& args) {
+  return RunShell(std::string("timeout 10 ") + CONFCCD_PATH + " " + args +
+                  " 2>&1");
 }
 
 struct TempDir {
@@ -229,6 +243,44 @@ TEST(ConfccCli, UnknownEngineExitsWithUsage) {
 
 TEST(ConfccCli, UnknownPresetExitsWithUsage) {
   ExpectRejectedWithUsage("--preset=OurMagic", "unknown preset 'OurMagic'");
+}
+
+// confccd's numeric flags follow the same rule: strtoul read "abc" as 0
+// workers (hardware concurrency), "-1" as an unbounded cache and "5s" as a
+// 5 ms deadline, and the daemon then served with them.
+void ExpectConfccdRejectsWithUsage(const std::string& flag,
+                                   const std::string& diagnostic) {
+  TempDir dir;
+  const auto r = RunConfccd("--socket=" + dir.File("d.sock") + " " + flag);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_EQ(r.output.substr(0, r.output.find('\n')), diagnostic) << r.output;
+  EXPECT_NE(r.output.find("\nusage: confccd"), std::string::npos) << r.output;
+}
+
+TEST(ConfccdCli, WorkersRejectsNonNumericValue) {
+  ExpectConfccdRejectsWithUsage(
+      "--workers=abc",
+      "confccd: bad --workers 'abc' (expected an unsigned integer)");
+}
+
+TEST(ConfccdCli, CacheBytesRejectsNegativeValue) {
+  ExpectConfccdRejectsWithUsage(
+      "--cache-bytes=-1",
+      "confccd: bad --cache-bytes '-1' (expected an unsigned integer)");
+}
+
+TEST(ConfccdCli, DeadlineMsRejectsTrailingUnit) {
+  ExpectConfccdRejectsWithUsage(
+      "--deadline-ms=5s",
+      "confccd: bad --deadline-ms '5s' (expected an unsigned integer)");
+}
+
+// --build-jobs is an `unsigned`: 2^32 used to truncate to 0 (hardware
+// concurrency) instead of being refused.
+TEST(ConfccdCli, BuildJobsRejectsValueAboveUintMax) {
+  ExpectConfccdRejectsWithUsage(
+      "--build-jobs=4294967296",
+      "confccd: bad --build-jobs '4294967296' (expected an unsigned integer)");
 }
 
 TEST(ConfccCli, VmDeadlineFlagReportsDeadlineFault) {

@@ -45,9 +45,12 @@ inline void ExpectVerifies(const Session& s, const std::string& label) {
 // Re-decodes after mutating code words (mirrors what an attacker-supplied
 // binary would look like). The forgery suites patch instructions into a
 // loaded program's code image and re-verify; the decoded slots must follow,
-// through the loader's own pre-decode so tests and loader cannot drift.
+// through the loader's own pre-decode so tests and loader cannot drift, and
+// the program gets a fresh ExecImage slot, as program.h requires of code
+// that patches a loaded program.
 inline void Redecode(LoadedProgram* prog) {
   prog->decoded = DecodeSlots(prog->binary.code);
+  prog->exec_image = std::make_shared<ExecImageSlot>();
 }
 
 // Promotion threshold used by the differential trace sessions: low enough

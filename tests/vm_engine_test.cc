@@ -193,7 +193,7 @@ TEST(EngineDiff, RareHandlersRunOnEveryEngineAndInsidePromotedRegions) {
     ExpectSameStats(*p.ref->vm, *s->vm);
   }
 
-  const ExecImage& img = *p.fast->compiled->prog->exec_image;
+  const ExecImage& img = *p.fast->compiled->prog->exec_image->built();
   const TraceTier* tier = p.trace->vm->trace_tier();
   ASSERT_NE(tier, nullptr);
   for (const uint16_t h : {kHBndclM, kHBndcuM, kHFCmpEq, kHFCmpNe, kHFCmpLe,
@@ -590,8 +590,8 @@ TEST(BlockMetadata, LeadersCoverJumpCallAndFaultEdges) {
   auto s = MakeSession(kBlocky, BuildPreset::kOurMpx, &d);
   ASSERT_NE(s, nullptr) << d.ToString();
   const LoadedProgram& prog = *s->compiled->prog;
-  ASSERT_NE(prog.exec_image, nullptr);
-  const ExecImage& img = *prog.exec_image;
+  ASSERT_NE(prog.exec_image->built(), nullptr);
+  const ExecImage& img = *prog.exec_image->built();
   ASSERT_FALSE(img.blocks.empty());
   ASSERT_EQ(img.block_of.size(), prog.decoded.size());
 
@@ -661,7 +661,7 @@ TEST(BlockMetadata, FusedPairsMaySpanBlockBoundaries) {
     ASSERT_NE(p.ref, nullptr);
     ASSERT_NE(p.trace, nullptr);
     const LoadedProgram& prog = *p.trace->compiled->prog;
-    const ExecImage& img = *prog.exec_image;
+    const ExecImage& img = *prog.exec_image->built();
     for (size_t w = 0; w < img.recs.size(); ++w) {
       if (img.recs[w].handler < kNumBaseHandlers) {
         continue;  // unfused
@@ -694,7 +694,7 @@ TEST(BlockMetadata, TraceTierPatchesOnlyLeaderSlotsOfItsPrivateCopy) {
                        EngineOpts(VmEngine::kTrace));
   ASSERT_NE(s, nullptr) << d.ToString();
   const LoadedProgram& prog = *s->compiled->prog;
-  const ExecImage& img = *prog.exec_image;
+  const ExecImage& img = *prog.exec_image->built();
   const TraceTier* tier = s->vm->trace_tier();
   ASSERT_NE(tier, nullptr);
   ASSERT_EQ(tier->recs.size(), img.recs.size());
@@ -777,7 +777,8 @@ TEST(BlockMetadata, PromotionUnderRunParallelWavesStaysIdentical) {
   const TraceTier* tier = trace->vm->trace_tier();
   ASSERT_NE(tier, nullptr);
   EXPECT_GT(tier->stats.promoted_blocks, 0u);
-  for (const ExecRecord& rec : trace->compiled->prog->exec_image->recs) {
+  for (const ExecRecord& rec :
+       trace->compiled->prog->exec_image->built()->recs) {
     ASSERT_LT(rec.handler, kHTraceCount);  // shared image untouched
   }
 }
@@ -796,7 +797,7 @@ TEST(BlockProfile, EntryCountsAccountForEveryInstruction) {
   DiagEngine d;
   auto s = MakeSession(kBlocky, BuildPreset::kOurMpx, &d, o);
   ASSERT_NE(s, nullptr) << d.ToString();
-  const ExecImage& img = *s->compiled->prog->exec_image;
+  const ExecImage& img = *s->compiled->prog->exec_image->built();
   ASSERT_EQ(profile.size(), img.blocks.size());
   const auto r = s->vm->Call("main", {});
   ASSERT_TRUE(r.ok) << r.fault_msg;
@@ -816,12 +817,12 @@ TEST(ExecImage, SharedAcrossVmsOfOneProgram) {
   DiagEngine d;
   auto s = MakeSession("int main() { return 7; }", BuildPreset::kOurMpx, &d);
   ASSERT_NE(s, nullptr);
-  ASSERT_NE(s->compiled->prog->exec_image, nullptr);
-  const ExecImage* img = s->compiled->prog->exec_image.get();
+  ASSERT_NE(s->compiled->prog->exec_image->built(), nullptr);
+  const ExecImage* img = s->compiled->prog->exec_image->built();
   EXPECT_EQ(img->recs.size(), s->compiled->prog->decoded.size());
   TrustedLib tlib2;
   Vm second(s->compiled->prog.get(), &tlib2, EngineOpts(VmEngine::kFast));
-  EXPECT_EQ(s->compiled->prog->exec_image.get(), img);  // no rebuild
+  EXPECT_EQ(s->compiled->prog->exec_image->built(), img);  // no rebuild
 }
 
 TEST(ExecImage, RefEngineDoesNotBuildOne)
@@ -830,7 +831,7 @@ TEST(ExecImage, RefEngineDoesNotBuildOne)
   auto s = MakeSession("int main() { return 7; }", BuildPreset::kOurMpx, &d,
                        EngineOpts(VmEngine::kRef));
   ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->compiled->prog->exec_image, nullptr);
+  EXPECT_EQ(s->compiled->prog->exec_image->built(), nullptr);
   EXPECT_EQ(s->vm->Call("main", {}).ret, 7u);
 }
 

@@ -15,12 +15,15 @@
 // invocations. Runs until SIGINT/SIGTERM or a `shutdown` request, then
 // drains in-flight work, writes the requested stats sinks, and exits 0.
 //
+// Numeric flags take an unsigned integer (decimal, 0x hex or 0 octal); any
+// other value exits 2 with the usage text before the daemon starts.
 // --deadline-ms is the default execute watchdog (requests may lower it);
 // --max-deadline-ms the hard ceiling no request can exceed. --inject-faults
 // arms the deterministic fault injector (service.accept / service.read /
 // service.dispatch are the service-tier sites; the CONFCC_INJECT_FAULTS
 // environment variable is read first, the flag overrides it).
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -29,6 +32,7 @@
 
 #include "src/service/server.h"
 #include "src/support/fault_injection.h"
+#include "src/support/strings.h"
 
 using namespace confllvm;
 
@@ -44,6 +48,22 @@ int Usage() {
           "               [--inject-report=F] [--cache-stats-json=F]\n"
           "               [--sched-stats-json=F]\n");
   return 2;
+}
+
+// Parses a numeric flag's value into `*out`. A value that is not an
+// unsigned integer, or that `T` cannot hold (--workers and --build-jobs are
+// `unsigned`), gets a one-line diagnostic, and the caller exits with the
+// usage text.
+template <typename T>
+bool ParseFlag(const char* flag, const std::string& value, T* out) {
+  uint64_t v = 0;
+  if (!ParseU64(value, &v) || static_cast<T>(v) != v) {
+    fprintf(stderr, "confccd: bad %s '%s' (expected an unsigned integer)\n",
+            flag, value.c_str());
+    return false;
+  }
+  *out = static_cast<T>(v);
+  return true;
 }
 
 std::string g_inject_report;
@@ -77,26 +97,44 @@ int Main(int argc, char** argv) {
     if (a.rfind("--socket=", 0) == 0) {
       opts.socket_path = a.substr(9);
     } else if (a.rfind("--workers=", 0) == 0) {
-      opts.sched.num_workers =
-          static_cast<unsigned>(strtoul(a.substr(10).c_str(), nullptr, 0));
+      if (!ParseFlag("--workers", a.substr(10), &opts.sched.num_workers)) {
+        return Usage();
+      }
     } else if (a.rfind("--cache-bytes=", 0) == 0) {
-      opts.cache_bytes = strtoull(a.substr(14).c_str(), nullptr, 0);
+      if (!ParseFlag("--cache-bytes", a.substr(14), &opts.cache_bytes)) {
+        return Usage();
+      }
     } else if (a.rfind("--cache-dir=", 0) == 0) {
       opts.cache_dir = a.substr(12);
     } else if (a.rfind("--cache-disk-bytes=", 0) == 0) {
-      opts.cache_disk_bytes = strtoull(a.substr(19).c_str(), nullptr, 0);
+      if (!ParseFlag("--cache-disk-bytes", a.substr(19),
+                     &opts.cache_disk_bytes)) {
+        return Usage();
+      }
     } else if (a.rfind("--max-queue-depth=", 0) == 0) {
-      opts.sched.max_queue_depth = strtoull(a.substr(18).c_str(), nullptr, 0);
+      if (!ParseFlag("--max-queue-depth", a.substr(18),
+                     &opts.sched.max_queue_depth)) {
+        return Usage();
+      }
     } else if (a.rfind("--max-inflight-per-client=", 0) == 0) {
-      opts.sched.max_inflight_per_client =
-          strtoull(a.substr(26).c_str(), nullptr, 0);
+      if (!ParseFlag("--max-inflight-per-client", a.substr(26),
+                     &opts.sched.max_inflight_per_client)) {
+        return Usage();
+      }
     } else if (a.rfind("--deadline-ms=", 0) == 0) {
-      opts.default_deadline_ms = strtoull(a.substr(14).c_str(), nullptr, 0);
+      if (!ParseFlag("--deadline-ms", a.substr(14),
+                     &opts.default_deadline_ms)) {
+        return Usage();
+      }
     } else if (a.rfind("--max-deadline-ms=", 0) == 0) {
-      opts.max_deadline_ms = strtoull(a.substr(18).c_str(), nullptr, 0);
+      if (!ParseFlag("--max-deadline-ms", a.substr(18),
+                     &opts.max_deadline_ms)) {
+        return Usage();
+      }
     } else if (a.rfind("--build-jobs=", 0) == 0) {
-      opts.build_jobs =
-          static_cast<unsigned>(strtoul(a.substr(13).c_str(), nullptr, 0));
+      if (!ParseFlag("--build-jobs", a.substr(13), &opts.build_jobs)) {
+        return Usage();
+      }
     } else if (a.rfind("--inject-faults=", 0) == 0) {
       std::string err;
       if (!FaultInjector::Instance().Configure(a.substr(16), &err)) {

@@ -3,15 +3,12 @@
 // elision of stack-access checks. Each is toggled off individually on the
 // OurMPX configuration; the table reports executed checks and cycles
 // relative to the fully-optimized OurMPX.
-#include <benchmark/benchmark.h>
-
 #include "bench/bench_util.h"
 #include "bench/workloads.h"
 
 namespace confllvm {
 namespace {
 
-using bench::RunOnce;
 using workloads::kSpecKernels;
 
 struct Variant {
@@ -74,25 +71,10 @@ void PrintTable() {
   }
 }
 
-void BM_Ablation(benchmark::State& state) {
-  const Variant& v = kVariants[state.range(0)];
-  Row row{};
-  for (auto _ : state) {
-    row = RunVariant(kSpecKernels[2].source, v);
-  }
-  state.SetLabel(v.name);
-  state.counters["checks"] = static_cast<double>(row.checks);
-  state.counters["sim_cycles"] = static_cast<double>(row.cycles);
-}
-
 }  // namespace
 }  // namespace confllvm
 
-BENCHMARK(confllvm::BM_Ablation)->DenseRange(0, 3, 1)->Iterations(1);
-
-int main(int argc, char** argv) {
+int main() {
   confllvm::PrintTable();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,9 +1,8 @@
-// Shared helpers for the per-figure benchmark binaries.
+// Shared helpers for the per-figure programs.
 //
 // Cycle counts come from the VM's deterministic cost model, so every table
-// is exactly reproducible; google-benchmark wall times of the same runs are
-// registered alongside for the usual bench tooling. Simulated time uses a
-// 3.4 GHz clock (the paper's i7-6700).
+// is exactly reproducible. Simulated time uses a 3.4 GHz clock (the paper's
+// i7-6700).
 #ifndef CONFLLVM_BENCH_BENCH_UTIL_H_
 #define CONFLLVM_BENCH_BENCH_UTIL_H_
 
@@ -58,7 +57,6 @@ inline RunResult RunOnce(const std::string& src, BuildPreset preset,
 struct SweepEntry {
   BuildPreset preset = BuildPreset::kBase;
   std::unique_ptr<Session> session;  // null when compilation failed
-  double compile_ms = 0;
 };
 
 // Batch-compiles `src` under every preset in `presets` concurrently through
@@ -85,7 +83,6 @@ inline std::vector<SweepEntry> CompileSweep(const std::string& src,
   for (size_t i = 0; i < outcomes.size(); ++i) {
     SweepEntry e;
     e.preset = presets[i];
-    e.compile_ms = outcomes[i].invocation->stats().total_ms;
     if (!outcomes[i].ok) {
       fprintf(stderr, "compile failed under %s:\n%s", outcomes[i].label.c_str(),
               outcomes[i].invocation->diags().ToString().c_str());

@@ -19,8 +19,7 @@
 //   apps nginx/ldap/ldap-miss (the branchy long-running programs the tier
 //   exists for; privado and merkle stay out of that gate).
 //
-// Needs no google-benchmark: it is a plain executable so CI can always run
-// it. Timing is min-of-N over fresh sessions (the D-cache model is part of
+// Timing is min-of-N over fresh sessions (the D-cache model is part of
 // the simulation, so each measured run starts from a cold Vm — for the
 // trace tier that includes re-discovering and re-promoting its hot blocks).
 //
@@ -52,6 +51,7 @@
 #include "bench/bench_util.h"
 #include "bench/workloads.h"
 #include "src/driver/artifact_cache.h"
+#include "src/support/json.h"
 #include "src/support/strings.h"
 #include "src/vm/trace_tier.h"
 
@@ -134,11 +134,7 @@ struct EngineRun {
   uint64_t instrs = 0;
   uint64_t cycles = 0;
   uint64_t ret = 0;
-  // Trace tier telemetry (kTrace runs only).
-  uint64_t promoted_blocks = 0;
-  uint64_t block_runs = 0;
-  uint64_t trace_instrs = 0;
-  uint64_t entry_bails = 0;
+  TraceTierStats tier;  // kTrace runs only
 };
 
 // One engine's timed run on a fresh session. The shared cache makes the
@@ -174,11 +170,7 @@ bool MeasureOnce(const BenchWorkload& w, BuildPreset preset, VmEngine engine,
   out->cycles = r.cycles;
   out->ret = r.ret;
   if (const TraceTier* tt = s->vm->trace_tier()) {
-    const TraceTierStats ts = tt->Telemetry();
-    out->promoted_blocks = ts.promoted_blocks;
-    out->block_runs = ts.block_runs;
-    out->trace_instrs = ts.trace_instrs;
-    out->entry_bails = ts.entry_bails;
+    out->tier = tt->Telemetry();
   }
   out->wall_ms = std::min(
       out->wall_ms, std::chrono::duration<double, std::milli>(t1 - t0).count());
@@ -203,16 +195,23 @@ bool MeasureTriple(const BenchWorkload& w, BuildPreset preset,
   return true;
 }
 
-double Mips(const EngineRun& r) {
-  return r.wall_ms <= 0 ? 0 : static_cast<double>(r.instrs) / (r.wall_ms * 1e3);
+// {"wall_ms", "mips"} of one engine's run.
+Json EngineJson(const EngineRun& r) {
+  Json j = Json::Object();
+  j.Set("wall_ms", Json::Double(r.wall_ms));
+  j.Set("mips", Json::Double(
+      r.wall_ms <= 0 ? 0 : static_cast<double>(r.instrs) / (r.wall_ms * 1e3)));
+  return j;
+}
+
+// The share `part` is of `total` (0 when the total is 0).
+double Share(uint64_t part, uint64_t total) {
+  return total == 0 ? 0 : static_cast<double>(part) / static_cast<double>(total);
 }
 
 int Run() {
   const std::vector<BenchWorkload> ws = MakeWorkloads();
-  std::string out = StrFormat(
-      "{\n  \"bench\": \"exec_throughput\",\n  \"repeats\": %d,\n"
-      "  \"workloads\": [\n",
-      kRepeats);
+  Json workloads_json = Json::Array();
   double log_speedup_sum = 0;
   double min_speedup = 1e300;
   double log_trace_sum = 0;
@@ -225,13 +224,10 @@ int Run() {
   int rows = 0;
   bool all_match = true;
 
-  for (size_t k = 0; k < ws.size(); ++k) {
-    const BenchWorkload& w = ws[k];
+  for (const BenchWorkload& w : ws) {
     ArtifactCache cache;  // shared front end across presets and repeats
-    out += StrFormat("    {\"name\": \"%s\", \"presets\": [\n", w.name);
-    const size_t npresets = sizeof(kPresets) / sizeof(kPresets[0]);
-    for (size_t c = 0; c < npresets; ++c) {
-      const BuildPreset preset = kPresets[c];
+    Json presets = Json::Array();
+    for (const BuildPreset preset : kPresets) {
       EngineRun ref;
       EngineRun fast;
       EngineRun trace;
@@ -260,26 +256,28 @@ int Run() {
       total_fast_ms += fast.wall_ms;
       total_trace_ms += trace.wall_ms;
       ++rows;
-      out += StrFormat(
-          "      {\"preset\": \"%s\", \"sim_instrs\": %llu, "
-          "\"sim_cycles\": %llu, \"cycles_match\": %s, \"trace_match\": %s, "
-          "\"ref\": {\"wall_ms\": %.3f, \"mips\": %.1f}, "
-          "\"fast\": {\"wall_ms\": %.3f, \"mips\": %.1f}, "
-          "\"trace\": {\"wall_ms\": %.3f, \"mips\": %.1f, "
-          "\"promoted_blocks\": %llu, \"block_runs\": %llu, "
-          "\"trace_instrs\": %llu, \"entry_bails\": %llu}, "
-          "\"speedup\": %.2f, \"trace_speedup\": %.2f}%s\n",
-          PresetName(preset), static_cast<unsigned long long>(fast.instrs),
-          static_cast<unsigned long long>(fast.cycles), match ? "true" : "false",
-          trace_match ? "true" : "false", ref.wall_ms, Mips(ref), fast.wall_ms,
-          Mips(fast), trace.wall_ms, Mips(trace),
-          static_cast<unsigned long long>(trace.promoted_blocks),
-          static_cast<unsigned long long>(trace.block_runs),
-          static_cast<unsigned long long>(trace.trace_instrs),
-          static_cast<unsigned long long>(trace.entry_bails), speedup, tspeed,
-          c + 1 == npresets ? "" : ",");
+      Json row = Json::Object();
+      row.Set("preset", Json::Str(PresetName(preset)));
+      row.Set("sim_instrs", Json::UInt(fast.instrs));
+      row.Set("sim_cycles", Json::UInt(fast.cycles));
+      row.Set("cycles_match", Json::Bool(match));
+      row.Set("trace_match", Json::Bool(trace_match));
+      row.Set("ref", EngineJson(ref));
+      row.Set("fast", EngineJson(fast));
+      Json trace_json = EngineJson(trace);
+      trace_json.Set("promoted_blocks", Json::UInt(trace.tier.promoted_blocks));
+      trace_json.Set("block_runs", Json::UInt(trace.tier.block_runs));
+      trace_json.Set("trace_instrs", Json::UInt(trace.tier.trace_instrs));
+      trace_json.Set("entry_bails", Json::UInt(trace.tier.entry_bails));
+      row.Set("trace", std::move(trace_json));
+      row.Set("speedup", Json::Double(speedup));
+      row.Set("trace_speedup", Json::Double(tspeed));
+      presets.Append(std::move(row));
     }
-    out += StrFormat("    ]}%s\n", k + 1 == ws.size() ? "" : ",");
+    Json workload = Json::Object();
+    workload.Set("name", Json::Str(w.name));
+    workload.Set("presets", std::move(presets));
+    workloads_json.Append(std::move(workload));
   }
 
   const double geomean = rows == 0 ? 0 : std::exp(log_speedup_sum / rows);
@@ -287,17 +285,24 @@ int Run() {
   const double app_tgeomean =
       app_rows == 0 ? 0 : std::exp(app_log_trace_sum / app_rows);
   const double total = total_fast_ms <= 0 ? 0 : total_ref_ms / total_fast_ms;
-  out += StrFormat(
-      "  ],\n  \"summary\": {\"rows\": %d, \"geomean_speedup\": %.2f, "
-      "\"suite_speedup\": %.2f, \"min_speedup\": %.2f, "
-      "\"trace_geomean_speedup\": %.2f, \"trace_min_speedup\": %.2f, "
-      "\"app_trace_geomean_speedup\": %.2f, "
-      "\"total_ref_ms\": %.1f, \"total_fast_ms\": %.1f, "
-      "\"total_trace_ms\": %.1f, \"all_cycles_match\": %s}\n}\n",
-      rows, geomean, total, min_speedup, tgeomean, min_trace, app_tgeomean,
-      total_ref_ms, total_fast_ms, total_trace_ms,
-      all_match ? "true" : "false");
-  fputs(out.c_str(), stdout);
+  Json summary = Json::Object();
+  summary.Set("rows", Json::UInt(rows));
+  summary.Set("geomean_speedup", Json::Double(geomean));
+  summary.Set("suite_speedup", Json::Double(total));
+  summary.Set("min_speedup", Json::Double(min_speedup));
+  summary.Set("trace_geomean_speedup", Json::Double(tgeomean));
+  summary.Set("trace_min_speedup", Json::Double(min_trace));
+  summary.Set("app_trace_geomean_speedup", Json::Double(app_tgeomean));
+  summary.Set("total_ref_ms", Json::Double(total_ref_ms));
+  summary.Set("total_fast_ms", Json::Double(total_fast_ms));
+  summary.Set("total_trace_ms", Json::Double(total_trace_ms));
+  summary.Set("all_cycles_match", Json::Bool(all_match));
+  Json doc = Json::Object();
+  doc.Set("bench", Json::Str("exec_throughput"));
+  doc.Set("repeats", Json::UInt(kRepeats));
+  doc.Set("workloads", std::move(workloads_json));
+  doc.Set("summary", std::move(summary));
+  printf("%s\n", doc.Dump().c_str());
   fprintf(stderr,
           "exec_throughput: %d rows, ref->fast %.2fx suite (geomean %.2fx, "
           "min %.2fx); fast->trace geomean %.2fx (apps %.2fx, min %.2fx); "
@@ -386,34 +391,33 @@ int RunPairHistogram() {
   std::sort(pairs.begin(), pairs.end(),
             [](const Pair& a, const Pair& b) { return a.count > b.count; });
 
-  std::string out = StrFormat(
-      "{\n  \"bench\": \"exec_pair_histogram\",\n  \"engine\": \"ref\",\n"
-      "  \"runs\": %d,\n  \"total_instrs\": %llu,\n  \"total_pairs\": %llu,\n"
-      "  \"distinct_pairs\": %zu,\n  \"pairs\": [\n",
-      rows, static_cast<unsigned long long>(total_instrs),
-      static_cast<unsigned long long>(total_pairs), pairs.size());
+  Json pairs_json = Json::Array();
   double cumulative = 0;
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    const Op a = static_cast<Op>(pairs[i].key >> 8);
-    const Op b = static_cast<Op>(pairs[i].key & 0xff);
-    const double frac =
-        total_pairs == 0 ? 0 : static_cast<double>(pairs[i].count) / total_pairs;
+  for (const Pair& pair : pairs) {
+    const double frac = Share(pair.count, total_pairs);
     cumulative += frac;
-    out += StrFormat(
-        "    {\"first\": \"%s\", \"second\": \"%s\", \"count\": %llu, "
-        "\"frac\": %.6f, \"cum_frac\": %.6f}%s\n",
-        OpName(a), OpName(b), static_cast<unsigned long long>(pairs[i].count),
-        frac, cumulative, i + 1 == pairs.size() ? "" : ",");
+    Json row = Json::Object();
+    row.Set("first", Json::Str(OpName(static_cast<Op>(pair.key >> 8))));
+    row.Set("second", Json::Str(OpName(static_cast<Op>(pair.key & 0xff))));
+    row.Set("count", Json::UInt(pair.count));
+    row.Set("frac", Json::Double(frac));
+    row.Set("cum_frac", Json::Double(cumulative));
+    pairs_json.Append(std::move(row));
   }
-  out += "  ]\n}\n";
-  fputs(out.c_str(), stdout);
+  Json doc = Json::Object();
+  doc.Set("bench", Json::Str("exec_pair_histogram"));
+  doc.Set("engine", Json::Str("ref"));
+  doc.Set("runs", Json::UInt(rows));
+  doc.Set("total_instrs", Json::UInt(total_instrs));
+  doc.Set("total_pairs", Json::UInt(total_pairs));
+  doc.Set("distinct_pairs", Json::UInt(pairs.size()));
+  doc.Set("pairs", std::move(pairs_json));
+  printf("%s\n", doc.Dump().c_str());
   fprintf(stderr,
           "exec_pair_histogram: %d runs, %zu distinct pairs over %llu dynamic "
           "pairs; top pair covers %.1f%%\n",
           rows, pairs.size(), static_cast<unsigned long long>(total_pairs),
-          pairs.empty() ? 0.0
-                        : 100.0 * static_cast<double>(pairs[0].count) /
-                              static_cast<double>(total_pairs));
+          pairs.empty() ? 0.0 : 100.0 * Share(pairs[0].count, total_pairs));
   return 0;
 }
 
@@ -498,62 +502,48 @@ int RunBlockHistogram() {
     hot.resize(kTopBlocks);
   }
 
-  std::string out = StrFormat(
-      "{\n  \"bench\": \"exec_block_histogram\",\n  \"engine\": \"ref\",\n"
-      "  \"runs\": %d,\n  \"total_instrs\": %llu,\n"
-      "  \"total_block_entries\": %llu,\n"
-      "  \"mean_block_len\": %.2f,\n  \"lengths\": [\n",
-      rows, static_cast<unsigned long long>(total_instrs),
-      static_cast<unsigned long long>(total_entries),
-      total_entries == 0
-          ? 0.0
-          : static_cast<double>(total_instrs) / static_cast<double>(total_entries));
-  bool first = true;
+  Json lengths = Json::Array();
   for (size_t len = 0; len < len_entries.size(); ++len) {
     if (len_entries[len] == 0) {
       continue;
     }
-    const double share =
-        total_instrs == 0
-            ? 0
-            : static_cast<double>(len_instrs[len]) / static_cast<double>(total_instrs);
-    out += StrFormat(
-        "%s    {\"len\": %zu, \"entries\": %llu, \"instrs\": %llu, "
-        "\"instr_share\": %.4f}",
-        first ? "" : ",\n", len,
-        static_cast<unsigned long long>(len_entries[len]),
-        static_cast<unsigned long long>(len_instrs[len]), share);
-    first = false;
+    Json row = Json::Object();
+    row.Set("len", Json::UInt(len));
+    row.Set("entries", Json::UInt(len_entries[len]));
+    row.Set("instrs", Json::UInt(len_instrs[len]));
+    row.Set("instr_share", Json::Double(Share(len_instrs[len], total_instrs)));
+    lengths.Append(std::move(row));
   }
-  out += "\n  ],\n  \"hottest\": [\n";
-  for (size_t i = 0; i < hot.size(); ++i) {
-    const HotBlock& h = hot[i];
-    out += StrFormat(
-        "    {\"where\": \"%s\", \"block\": %u, \"leader\": %u, \"len\": %u, "
-        "\"entries\": %llu, \"instrs\": %llu, \"instr_share\": %.4f}%s\n",
-        h.where.c_str(), h.bid, h.leader, h.len,
-        static_cast<unsigned long long>(h.entries),
-        static_cast<unsigned long long>(h.weight),
-        total_instrs == 0
-            ? 0
-            : static_cast<double>(h.weight) / static_cast<double>(total_instrs),
-        i + 1 == hot.size() ? "" : ",");
+  Json hottest = Json::Array();
+  for (const HotBlock& h : hot) {
+    Json row = Json::Object();
+    row.Set("where", Json::Str(h.where));
+    row.Set("block", Json::UInt(h.bid));
+    row.Set("leader", Json::UInt(h.leader));
+    row.Set("len", Json::UInt(h.len));
+    row.Set("entries", Json::UInt(h.entries));
+    row.Set("instrs", Json::UInt(h.weight));
+    row.Set("instr_share", Json::Double(Share(h.weight, total_instrs)));
+    hottest.Append(std::move(row));
   }
-  out += "  ]\n}\n";
-  fputs(out.c_str(), stdout);
+  Json doc = Json::Object();
+  doc.Set("bench", Json::Str("exec_block_histogram"));
+  doc.Set("engine", Json::Str("ref"));
+  doc.Set("runs", Json::UInt(rows));
+  doc.Set("total_instrs", Json::UInt(total_instrs));
+  doc.Set("total_block_entries", Json::UInt(total_entries));
+  doc.Set("mean_block_len", Json::Double(Share(total_instrs, total_entries)));
+  doc.Set("lengths", std::move(lengths));
+  doc.Set("hottest", std::move(hottest));
+  printf("%s\n", doc.Dump().c_str());
   fprintf(stderr,
           "exec_block_histogram: %d runs, %llu block entries over %llu "
           "instrs (mean dynamic block %.2f instrs); hottest block carries "
           "%.1f%% of one run's instructions\n",
           rows, static_cast<unsigned long long>(total_entries),
           static_cast<unsigned long long>(total_instrs),
-          total_entries == 0 ? 0.0
-                             : static_cast<double>(total_instrs) /
-                                   static_cast<double>(total_entries),
-          hot.empty() || total_instrs == 0
-              ? 0.0
-              : 100.0 * static_cast<double>(hot[0].weight) /
-                    static_cast<double>(total_instrs));
+          Share(total_instrs, total_entries),
+          hot.empty() ? 0.0 : 100.0 * Share(hot[0].weight, total_instrs));
   return 0;
 }
 
@@ -621,10 +611,9 @@ int RunCtTraceDiff() {
     const auto& kernel = workloads::kCtKernels[k];
     ArtifactCache cache;
     bool workload_ok = true;
-    std::string body;
+    Json presets = Json::Array();
 
-    for (size_t pi = 0; pi < std::size(kCtBuildPresets); ++pi) {
-      const BuildPreset preset = kCtBuildPresets[pi];
+    for (const BuildPreset preset : kCtBuildPresets) {
       // grid[engine][secret]
       CtObservation grid[kNumEngines][kNumSecrets];
       for (int e = 0; e < kNumEngines; ++e) {
@@ -675,46 +664,46 @@ int RunCtTraceDiff() {
       }
       workload_ok = workload_ok && secret_invariant && engines_agree;
 
-      body += StrFormat(
-          "    {\"preset\": \"%s\", \"secret_invariant\": %s, "
-          "\"engines_agree\": %s, \"engines\": [\n",
-          PresetName(preset), secret_invariant ? "true" : "false",
-          engines_agree ? "true" : "false");
+      Json engines = Json::Array();
       for (int e = 0; e < kNumEngines; ++e) {
-        body += StrFormat("      {\"engine\": \"%s\", \"runs\": [\n",
-                          kEngineNames[e]);
+        Json runs = Json::Array();
         for (int si = 0; si < kNumSecrets; ++si) {
           const CtObservation& o = grid[e][si];
-          body += StrFormat(
-              "        {\"secret\": %llu, \"ok\": %s, \"ret\": %llu, "
-              "\"cycles\": %llu, \"instrs\": %llu, \"loads\": %llu, "
-              "\"stores\": %llu, \"cache_hits\": %llu, \"cache_misses\": "
-              "%llu, \"stream_len\": %zu, \"stream_fnv\": \"%016llx\"}%s\n",
-              static_cast<unsigned long long>(kCtSecrets[si]),
-              o.ok ? "true" : "false", static_cast<unsigned long long>(o.ret),
-              static_cast<unsigned long long>(o.stats.cycles),
-              static_cast<unsigned long long>(o.stats.instrs),
-              static_cast<unsigned long long>(o.stats.loads),
-              static_cast<unsigned long long>(o.stats.stores),
-              static_cast<unsigned long long>(o.cache_hits),
-              static_cast<unsigned long long>(o.cache_misses),
-              o.stream.size(),
-              static_cast<unsigned long long>(Fnv1a64(o.stream)),
-              si + 1 == kNumSecrets ? "" : ",");
+          Json run = Json::Object();
+          run.Set("secret", Json::UInt(kCtSecrets[si]));
+          run.Set("ok", Json::Bool(o.ok));
+          run.Set("ret", Json::UInt(o.ret));
+          run.Set("cycles", Json::UInt(o.stats.cycles));
+          run.Set("instrs", Json::UInt(o.stats.instrs));
+          run.Set("loads", Json::UInt(o.stats.loads));
+          run.Set("stores", Json::UInt(o.stats.stores));
+          run.Set("cache_hits", Json::UInt(o.cache_hits));
+          run.Set("cache_misses", Json::UInt(o.cache_misses));
+          run.Set("stream_len", Json::UInt(o.stream.size()));
+          run.Set("stream_fnv",
+                  Json::Str(StrFormat("%016llx", static_cast<unsigned long long>(
+                                                     Fnv1a64(o.stream)))));
+          runs.Append(std::move(run));
         }
-        body += StrFormat("      ]}%s\n", e + 1 == kNumEngines ? "" : ",");
+        Json engine = Json::Object();
+        engine.Set("engine", Json::Str(kEngineNames[e]));
+        engine.Set("runs", std::move(runs));
+        engines.Append(std::move(engine));
       }
-      body += StrFormat("    ]}%s\n",
-                        pi + 1 == std::size(kCtBuildPresets) ? "" : ",");
+      Json row = Json::Object();
+      row.Set("preset", Json::Str(PresetName(preset)));
+      row.Set("secret_invariant", Json::Bool(secret_invariant));
+      row.Set("engines_agree", Json::Bool(engines_agree));
+      row.Set("engines", std::move(engines));
+      presets.Append(std::move(row));
     }
 
-    std::string doc = StrFormat(
-        "{\n  \"bench\": \"ct_trace_diff\",\n  \"workload\": \"%s\",\n"
-        "  \"public_arg\": %llu,\n  \"ok\": %s,\n  \"presets\": [\n",
-        kernel.name, static_cast<unsigned long long>(kCtPublicArg),
-        workload_ok ? "true" : "false");
-    doc += body;
-    doc += "  ]\n}\n";
+    Json doc = Json::Object();
+    doc.Set("bench", Json::Str("ct_trace_diff"));
+    doc.Set("workload", Json::Str(kernel.name));
+    doc.Set("public_arg", Json::UInt(kCtPublicArg));
+    doc.Set("ok", Json::Bool(workload_ok));
+    doc.Set("presets", std::move(presets));
 
     const std::string path = StrFormat("ct_trace_%s.json", kernel.name);
     FILE* f = fopen(path.c_str(), "w");
@@ -722,7 +711,7 @@ int RunCtTraceDiff() {
       fprintf(stderr, "cannot write %s\n", path.c_str());
       return 1;
     }
-    fputs(doc.c_str(), f);
+    fprintf(f, "%s\n", doc.Dump().c_str());
     fclose(f);
     fprintf(stderr, "ct_trace_diff: %s -> %s (%s)\n", kernel.name,
             path.c_str(), workload_ok ? "ok" : "DIVERGENCE");

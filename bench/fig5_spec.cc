@@ -2,8 +2,6 @@
 // under the six §7.1 configurations. The paper reports OurMPX up to ~74%,
 // OurSeg up to ~24.5% overhead, CFI (OurCFI - OurBare) averaging 3.62%, and
 // BaseOA ~0 (sometimes negative).
-#include <benchmark/benchmark.h>
-
 #include "bench/bench_util.h"
 #include "bench/workloads.h"
 
@@ -11,7 +9,6 @@ namespace confllvm {
 namespace {
 
 using bench::Pct;
-using bench::RunOnce;
 using workloads::kNumSpecKernels;
 using workloads::kSpecKernels;
 
@@ -67,30 +64,10 @@ void PrintTable() {
   printf("OurSeg max overhead: %.1f%%  (paper: up to 24.5%%)\n", seg_max);
 }
 
-void BM_Spec(benchmark::State& state) {
-  const auto& kernel = kSpecKernels[state.range(0)];
-  const BuildPreset preset = kConfigs[state.range(1)];
-  uint64_t cycles = 0;
-  for (auto _ : state) {
-    auto r = RunOnce(kernel.source, preset, "main", {});
-    cycles = r.cycles;
-  }
-  state.SetLabel(std::string(kernel.name) + "/" + PresetName(preset));
-  state.counters["sim_cycles"] = static_cast<double>(cycles);
-  state.counters["sim_ms"] = cycles / bench::kClockHz * 1e3;
-}
-
 }  // namespace
 }  // namespace confllvm
 
-BENCHMARK(confllvm::BM_Spec)
-    ->ArgsProduct({benchmark::CreateDenseRange(0, 10, 1), {0, 4, 5}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-int main(int argc, char** argv) {
+int main() {
   confllvm::PrintTable();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

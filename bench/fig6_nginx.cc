@@ -3,8 +3,6 @@
 // configurations. The paper reports 3.25-29.32% overhead, non-monotonic in
 // file size (cache pressure from split stacks peaks around 10 KB), tending
 // to zero for large responses as copy time outside U dominates.
-#include <benchmark/benchmark.h>
-
 #include "bench/bench_util.h"
 #include "bench/workloads.h"
 
@@ -53,28 +51,10 @@ void PrintTable() {
   printf("(paper: OurMPX overhead 3.25%%-29.32%%, non-monotonic, ->0 beyond ~40 KB)\n");
 }
 
-void BM_Nginx(benchmark::State& state) {
-  const BuildPreset preset = kConfigs[state.range(0)];
-  const int size_kb = static_cast<int>(state.range(1));
-  double tput = 0;
-  for (auto _ : state) {
-    tput = Throughput(preset, size_kb);
-  }
-  state.SetLabel(std::string(PresetName(preset)) + "/" + std::to_string(size_kb) + "KB");
-  state.counters["req_per_s"] = tput;
-}
-
 }  // namespace
 }  // namespace confllvm
 
-BENCHMARK(confllvm::BM_Nginx)
-    ->ArgsProduct({{0, 5}, {0, 10, 40}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-int main(int argc, char** argv) {
+int main() {
   confllvm::PrintTable();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

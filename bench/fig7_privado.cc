@@ -3,8 +3,6 @@
 // OurBare / OurCFI / OurMPX. The paper measures +26.87% for OurMPX — much
 // lower than SPEC because the hot loop is FP-dominated and MPX checks
 // dual-issue with FP arithmetic (§7.4).
-#include <benchmark/benchmark.h>
-
 #include "bench/bench_util.h"
 #include "bench/workloads.h"
 
@@ -54,27 +52,10 @@ void PrintTable() {
   printf("(paper: OurMPX = 126.87%% of Base; checks masked by FP dual-issue)\n");
 }
 
-void BM_Privado(benchmark::State& state) {
-  const BuildPreset preset = kConfigs[state.range(0)];
-  uint64_t cycles = 0;
-  for (auto _ : state) {
-    cycles = ClassifyCycles(preset);
-  }
-  state.SetLabel(PresetName(preset));
-  state.counters["sim_ms_per_image"] = cycles / kClockHz * 1e3;
-}
-
 }  // namespace
 }  // namespace confllvm
 
-BENCHMARK(confllvm::BM_Privado)
-    ->DenseRange(0, 4, 1)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-int main(int argc, char** argv) {
+int main() {
   confllvm::PrintTable();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -2,15 +2,11 @@
 // integrity library, 1-6 threads on 4 cores, Base / OurSeg / OurMPX. The
 // paper sees near-constant time up to 4 threads (linear scaling), a jump
 // beyond the core count, OurSeg < 10% and OurMPX < 17% overhead throughout.
-#include <benchmark/benchmark.h>
-
 #include "bench/bench_util.h"
 #include "bench/workloads.h"
 
 namespace confllvm {
 namespace {
-
-using bench::kClockHz;
 
 constexpr int kBlocks = 512;
 
@@ -58,31 +54,10 @@ void PrintTable() {
   printf("(paper: flat to 4 threads; OurSeg < 10%%, OurMPX < 17%%)\n");
 }
 
-void BM_Merkle(benchmark::State& state) {
-  const BuildPreset preset =
-      state.range(0) == 0
-          ? BuildPreset::kBase
-          : (state.range(0) == 1 ? BuildPreset::kOurSeg : BuildPreset::kOurMpx);
-  const int threads = static_cast<int>(state.range(1));
-  uint64_t wall = 0;
-  for (auto _ : state) {
-    wall = WallCycles(preset, threads);
-  }
-  state.SetLabel(std::string(PresetName(preset)) + "/" + std::to_string(threads) + "t");
-  state.counters["sim_ms"] = wall / kClockHz * 1e3;
-}
-
 }  // namespace
 }  // namespace confllvm
 
-BENCHMARK(confllvm::BM_Merkle)
-    ->ArgsProduct({{0, 1, 2}, {1, 4, 6}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-int main(int argc, char** argv) {
+int main() {
   confllvm::PrintTable();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -252,27 +252,23 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::string json = "{\n  \"bench\": \"serve_throughput\",\n";
-  json += "  \"clients\": " + std::to_string(clients) + ",\n";
-  json += "  \"distinct_sources\": " + std::to_string(sources.size()) + ",\n";
-  json += "  \"phases\": [\n";
+  Json phases_json = Json::Array();
   std::vector<double> rps(phases.size(), 0);
   for (size_t p = 0; p < phases.size(); ++p) {
     const PhaseResult& ph = phases[p];
     rps[p] = ph.wall_ms > 0 ? 1000.0 * ph.requests / ph.wall_ms : 0;
     const double p50 = Percentile(ph.latencies_ms, 0.50);
     const double p99 = Percentile(ph.latencies_ms, 0.99);
-    char row[512];
-    snprintf(row, sizeof row,
-             "    {\"name\": \"%s\", \"requests\": %llu, \"wall_ms\": %.3f, "
-             "\"rps\": %.3f, \"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-             "\"errors\": %llu, \"retries\": %llu}%s\n",
-             ph.name.c_str(), static_cast<unsigned long long>(ph.requests),
-             ph.wall_ms, rps[p], p50, p99,
-             static_cast<unsigned long long>(ph.errors),
-             static_cast<unsigned long long>(ph.retries),
-             p + 1 < phases.size() ? "," : "");
-    json += row;
+    Json row = Json::Object();
+    row.Set("name", Json::Str(ph.name));
+    row.Set("requests", Json::UInt(ph.requests));
+    row.Set("wall_ms", Json::Double(ph.wall_ms));
+    row.Set("rps", Json::Double(rps[p]));
+    row.Set("p50_ms", Json::Double(p50));
+    row.Set("p99_ms", Json::Double(p99));
+    row.Set("errors", Json::UInt(ph.errors));
+    row.Set("retries", Json::UInt(ph.retries));
+    phases_json.Append(std::move(row));
     printf("%-5s %6llu req  %9.1f ms  %8.2f req/s  p50 %7.2f ms  p99 %7.2f "
            "ms  errors %llu  retries %llu\n",
            ph.name.c_str(), static_cast<unsigned long long>(ph.requests),
@@ -280,23 +276,24 @@ int main(int argc, char** argv) {
            static_cast<unsigned long long>(ph.errors),
            static_cast<unsigned long long>(ph.retries));
   }
-  json += "  ],\n";
-  char tail[128];
-  snprintf(tail, sizeof tail,
-           "  \"warm_over_cold_rps\": %.3f,\n  \"divergence\": %llu\n}\n",
-           rps[0] > 0 ? rps[1] / rps[0] : 0,
-           static_cast<unsigned long long>(divergence));
-  json += tail;
+  const double warm_over_cold = rps[0] > 0 ? rps[1] / rps[0] : 0;
+  Json doc = Json::Object();
+  doc.Set("bench", Json::Str("serve_throughput"));
+  doc.Set("clients", Json::UInt(clients));
+  doc.Set("distinct_sources", Json::UInt(sources.size()));
+  doc.Set("phases", std::move(phases_json));
+  doc.Set("warm_over_cold_rps", Json::Double(warm_over_cold));
+  doc.Set("divergence", Json::UInt(divergence));
 
   std::ofstream out(json_path, std::ios::trunc);
   if (!out) {
     fprintf(stderr, "serve_throughput: cannot write %s\n", json_path.c_str());
     return 1;
   }
-  out << json;
+  out << doc.Dump() << '\n';
   printf("warm/cold rps ratio: %.2f  divergence: %llu  -> %s\n",
-         rps[0] > 0 ? rps[1] / rps[0] : 0,
-         static_cast<unsigned long long>(divergence), json_path.c_str());
+         warm_over_cold, static_cast<unsigned long long>(divergence),
+         json_path.c_str());
 
   uint64_t total_errors = 0;
   for (const PhaseResult& ph : phases) {

@@ -2,8 +2,6 @@
 // on absent entries (paper: 26,254 -> 22,908 req/s, -12.74%) and present
 // entries (29,698 -> 26,895 req/s, -9.44%). Misses do more work inside U,
 // so they see the larger relative degradation.
-#include <benchmark/benchmark.h>
-
 #include "bench/bench_util.h"
 #include "bench/workloads.h"
 
@@ -57,30 +55,10 @@ void PrintTable() {
   }
 }
 
-void BM_Ldap(benchmark::State& state) {
-  const BuildPreset preset =
-      state.range(0) == 0 ? BuildPreset::kBase : BuildPreset::kOurMpx;
-  const bool hits = state.range(1) != 0;
-  double tput = 0;
-  uint64_t h = 0;
-  for (auto _ : state) {
-    tput = Throughput(preset, hits, &h);
-  }
-  state.SetLabel(std::string(PresetName(preset)) + (hits ? "/hit" : "/miss"));
-  state.counters["req_per_s"] = tput;
-}
-
 }  // namespace
 }  // namespace confllvm
 
-BENCHMARK(confllvm::BM_Ldap)
-    ->ArgsProduct({{0, 1}, {0, 1}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-int main(int argc, char** argv) {
+int main() {
   confllvm::PrintTable();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

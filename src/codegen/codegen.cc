@@ -1,15 +1,14 @@
 #include "src/codegen/codegen.h"
 
-#include <atomic>
 #include <cassert>
 #include <cstring>
 #include <map>
 #include <set>
-#include <thread>
 
 #include "src/analysis/liveness.h"
 #include "src/codegen/regalloc.h"
 #include "src/isa/layout.h"
+#include "src/support/parallel.h"
 #include "src/support/strings.h"
 
 namespace confllvm {
@@ -1148,41 +1147,11 @@ Binary GenerateCode(const IrModule& mod, const CodegenOptions& opts, DiagEngine*
     DiagEngine diags;
   };
   std::vector<FuncBlob> blobs(mod.functions.size());
-  unsigned n = jobs != 0 ? jobs : std::thread::hardware_concurrency();
-  if (n == 0) {
-    n = 1;
-  }
-  n = static_cast<unsigned>(std::min<size_t>(
-      n, mod.functions.empty() ? 1 : mod.functions.size()));
-  auto emit_one = [&](size_t i) {
+  ParallelFor(mod.functions.size(), jobs, [&](size_t i) {
     FuncBlob& blob = blobs[i];
     FuncEmitter emitter(mod, mod.functions[i], opts, &blob.diags, &blob.stats);
     blob.pendings = emitter.Run();
-  };
-  if (n <= 1) {
-    for (size_t i = 0; i < mod.functions.size(); ++i) {
-      emit_one(i);
-    }
-  } else {
-    std::atomic<size_t> next{0};
-    auto worker = [&]() {
-      for (;;) {
-        const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= mod.functions.size()) {
-          return;
-        }
-        emit_one(i);
-      }
-    };
-    std::vector<std::thread> threads;
-    threads.reserve(n);
-    for (unsigned t = 0; t < n; ++t) {
-      threads.emplace_back(worker);
-    }
-    for (std::thread& t : threads) {
-      t.join();
-    }
-  }
+  });
   for (size_t i = 0; i < mod.functions.size(); ++i) {
     const IrFunction& f = mod.functions[i];
     if (stats != nullptr) {

@@ -214,53 +214,35 @@ std::string CacheStats::ToRow() const {
   return row;
 }
 
-std::string CacheStats::ToJson() const {
-  std::string hits_json = "[";
-  std::string misses_json = "[";
-  for (size_t i = 0; i < kNumStages; ++i) {
-    const char* sep = i == 0 ? "" : ",";
-    hits_json += StrFormat("%s%llu", sep,
-                           static_cast<unsigned long long>(hits_by_stage[i]));
-    misses_json += StrFormat(
-        "%s%llu", sep, static_cast<unsigned long long>(misses_by_stage[i]));
+Json CacheStats::ToJson() const {
+  const size_t link = static_cast<size_t>(StageId::kLink);
+  const std::pair<const char*, uint64_t> counters[] = {
+      {"hits", hits}, {"misses", misses}, {"shared_waits", shared_waits},
+      {"insertions", insertions}, {"evictions", evictions},
+      {"bytes_retained", bytes_retained}, {"prefix_shares", PrefixShares()},
+      {"link_hits", hits_by_stage[link]}, {"link_misses", misses_by_stage[link]},
+      {"disk_hits", disk_hits}, {"disk_misses", disk_misses},
+      {"disk_stores", disk_stores}, {"disk_evictions", disk_evictions},
+      {"disk_invalid", disk_invalid}, {"disk_retries", disk_retries},
+      {"disk_io_failures", disk_io_failures},
+      {"disk_store_failures", disk_store_failures},
+      {"disk_breaker_opens", disk_breaker_opens},
+      {"disk_breaker_short_circuits", disk_breaker_short_circuits},
+      {"disk_breaker_probes", disk_breaker_probes}};
+  Json j = Json::Object();
+  for (const auto& [name, value] : counters) {
+    j.Set(name, Json::UInt(value));
   }
-  hits_json += "]";
-  misses_json += "]";
-  return StrFormat(
-      "{\"hits\":%llu,\"misses\":%llu,\"shared_waits\":%llu,"
-      "\"insertions\":%llu,\"evictions\":%llu,\"bytes_retained\":%zu,"
-      "\"prefix_shares\":%llu,"
-      "\"link_hits\":%llu,\"link_misses\":%llu,"
-      "\"disk_hits\":%llu,\"disk_misses\":%llu,\"disk_stores\":%llu,"
-      "\"disk_evictions\":%llu,\"disk_invalid\":%llu,"
-      "\"disk_retries\":%llu,\"disk_io_failures\":%llu,"
-      "\"disk_store_failures\":%llu,\"disk_breaker_opens\":%llu,"
-      "\"disk_breaker_short_circuits\":%llu,\"disk_breaker_probes\":%llu,"
-      "\"disk_breaker_open\":%s,"
-      "\"hits_by_stage\":%s,\"misses_by_stage\":%s}\n",
-      static_cast<unsigned long long>(hits),
-      static_cast<unsigned long long>(misses),
-      static_cast<unsigned long long>(shared_waits),
-      static_cast<unsigned long long>(insertions),
-      static_cast<unsigned long long>(evictions), bytes_retained,
-      static_cast<unsigned long long>(PrefixShares()),
-      static_cast<unsigned long long>(
-          hits_by_stage[static_cast<size_t>(StageId::kLink)]),
-      static_cast<unsigned long long>(
-          misses_by_stage[static_cast<size_t>(StageId::kLink)]),
-      static_cast<unsigned long long>(disk_hits),
-      static_cast<unsigned long long>(disk_misses),
-      static_cast<unsigned long long>(disk_stores),
-      static_cast<unsigned long long>(disk_evictions),
-      static_cast<unsigned long long>(disk_invalid),
-      static_cast<unsigned long long>(disk_retries),
-      static_cast<unsigned long long>(disk_io_failures),
-      static_cast<unsigned long long>(disk_store_failures),
-      static_cast<unsigned long long>(disk_breaker_opens),
-      static_cast<unsigned long long>(disk_breaker_short_circuits),
-      static_cast<unsigned long long>(disk_breaker_probes),
-      disk_breaker_open ? "true" : "false", hits_json.c_str(),
-      misses_json.c_str());
+  j.Set("disk_breaker_open", Json::Bool(disk_breaker_open));
+  Json hits_json = Json::Array();
+  Json misses_json = Json::Array();
+  for (size_t i = 0; i < kNumStages; ++i) {
+    hits_json.Append(Json::UInt(hits_by_stage[i]));
+    misses_json.Append(Json::UInt(misses_by_stage[i]));
+  }
+  j.Set("hits_by_stage", std::move(hits_json));
+  j.Set("misses_by_stage", std::move(misses_json));
+  return j;
 }
 
 ArtifactCache::ArtifactCache(size_t max_bytes) : max_bytes_(max_bytes) {}

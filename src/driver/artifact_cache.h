@@ -52,6 +52,7 @@
 
 #include "src/driver/pipeline.h"
 #include "src/isa/link.h"
+#include "src/support/json.h"
 
 namespace confllvm {
 
@@ -121,8 +122,9 @@ struct CacheStats {
   // line whenever the disk tier was consulted.
   std::string ToRow() const;
 
-  // One-line JSON object with every counter (the CI cache-stats artifact).
-  std::string ToJson() const;
+  // Every counter as one JSON object (the --cache-stats-json sinks and the
+  // `stats` verb's cache_json).
+  Json ToJson() const;
 };
 
 // One stage's cached output. Exactly the artifact member matching `stage` is

@@ -1,12 +1,11 @@
 #include "src/driver/build_graph.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 
 #include "src/driver/artifact_cache.h"
 #include "src/runtime/loader.h"
 #include "src/support/bytes.h"
+#include "src/support/parallel.h"
 #include "src/support/strings.h"
 #include "src/verifier/verifier.h"
 
@@ -54,37 +53,11 @@ bool BuildGraph::Finalize(const BuildConfig& config, DiagEngine* diags,
   // 1. Parse every module concurrently through the cache; the later object
   // compile restores the identical Parse artifact instead of re-lexing.
   std::vector<std::unique_ptr<CompilerInvocation>> parses(modules_.size());
-  {
-    std::atomic<size_t> next{0};
-    auto worker = [&]() {
-      for (;;) {
-        const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= modules_.size()) {
-          return;
-        }
-        parses[i] = std::make_unique<CompilerInvocation>(modules_[i].source, config);
-        parses[i]->set_cache(cache);
-        PassManager::ParseOnly().Run(parses[i].get());
-      }
-    };
-    unsigned n = num_workers != 0 ? num_workers : std::thread::hardware_concurrency();
-    if (n == 0) {
-      n = 1;
-    }
-    n = static_cast<unsigned>(std::min<size_t>(n, modules_.size()));
-    if (n <= 1) {
-      worker();
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(n);
-      for (unsigned t = 0; t < n; ++t) {
-        threads.emplace_back(worker);
-      }
-      for (std::thread& t : threads) {
-        t.join();
-      }
-    }
-  }
+  ParallelFor(modules_.size(), num_workers, [&](size_t i) {
+    parses[i] = std::make_unique<CompilerInvocation>(modules_[i].source, config);
+    parses[i]->set_cache(cache);
+    PassManager::ParseOnly().Run(parses[i].get());
+  });
 
   bool ok = true;
   for (size_t i = 0; i < modules_.size(); ++i) {
@@ -203,28 +176,31 @@ bool BuildGraph::Finalize(const BuildConfig& config, DiagEngine* diags,
 
 // ---- Scheduler ----
 
-std::string BuildGraphStats::ToJson() const {
-  std::string s = StrFormat(
-      "{\"modules\": %zu, \"waves\": %zu, \"codegen_ran\": %zu, "
-      "\"link_cached\": %s, "
-      "\"link\": {\"code_words\": %zu, \"functions\": %zu, "
-      "\"resolved_call_sites\": %zu, \"contract_checks\": %zu}, "
-      "\"module_detail\": [",
-      modules, waves, codegen_ran, link_cached ? "true" : "false",
-      link.code_words, link.functions, link.resolved_call_sites,
-      link.contract_checks);
-  for (size_t i = 0; i < per_module.size(); ++i) {
-    const PerModule& m = per_module[i];
-    s += i == 0 ? "{\"name\": " : ", {\"name\": ";
-    AppendEscaped(m.name, &s);
-    s += StrFormat(
-        ", \"wave\": %zu, \"ok\": %s, \"skipped\": %s, "
-        "\"codegen_cached\": %s, \"ms\": %.3f}",
-        m.wave, m.ok ? "true" : "false", m.skipped ? "true" : "false",
-        m.codegen_cached ? "true" : "false", m.ms);
+Json BuildGraphStats::ToJson() const {
+  Json link_json = Json::Object();
+  link_json.Set("code_words", Json::UInt(link.code_words));
+  link_json.Set("functions", Json::UInt(link.functions));
+  link_json.Set("resolved_call_sites", Json::UInt(link.resolved_call_sites));
+  link_json.Set("contract_checks", Json::UInt(link.contract_checks));
+  Json detail = Json::Array();
+  for (const PerModule& m : per_module) {
+    Json row = Json::Object();
+    row.Set("name", Json::Str(m.name));
+    row.Set("wave", Json::UInt(m.wave));
+    row.Set("ok", Json::Bool(m.ok));
+    row.Set("skipped", Json::Bool(m.skipped));
+    row.Set("codegen_cached", Json::Bool(m.codegen_cached));
+    row.Set("ms", Json::Double(m.ms));
+    detail.Append(std::move(row));
   }
-  s += "]}\n";
-  return s;
+  Json j = Json::Object();
+  j.Set("modules", Json::UInt(modules));
+  j.Set("waves", Json::UInt(waves));
+  j.Set("codegen_ran", Json::UInt(codegen_ran));
+  j.Set("link_cached", Json::Bool(link_cached));
+  j.Set("link", std::move(link_json));
+  j.Set("module_detail", std::move(detail));
+  return j;
 }
 
 LinkedBuild BuildScheduler::Run(ArtifactCache* cache) {

@@ -31,6 +31,7 @@
 #include "src/driver/pipeline.h"
 #include "src/isa/link.h"
 #include "src/sema/module_interface.h"
+#include "src/support/json.h"
 
 namespace confllvm {
 
@@ -111,7 +112,7 @@ struct BuildGraphStats {
   std::vector<PerModule> per_module;
   LinkStats link;
 
-  std::string ToJson() const;
+  Json ToJson() const;
 };
 
 struct LinkedBuild {

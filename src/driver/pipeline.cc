@@ -1,7 +1,6 @@
 #include "src/driver/pipeline.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
@@ -12,6 +11,7 @@
 #include "src/ir/irgen.h"
 #include "src/lang/parser.h"
 #include "src/support/fault_injection.h"
+#include "src/support/parallel.h"
 #include "src/support/strings.h"
 
 namespace confllvm {
@@ -671,53 +671,27 @@ bool RunStandardPipeline(CompilerInvocation* inv, bool verify) {
 std::vector<BatchOutcome> CompileBatch(const std::vector<BatchJob>& jobs,
                                        unsigned num_workers, ArtifactCache* cache) {
   std::vector<BatchOutcome> outcomes(jobs.size());
-  std::atomic<size_t> next{0};
-  auto worker = [&]() {
-    for (;;) {
-      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= jobs.size()) {
-        return;
-      }
-      const BatchJob& job = jobs[i];
-      BatchOutcome& out = outcomes[i];
-      out.label = job.label;
-      out.invocation = std::make_unique<CompilerInvocation>(job.source, job.config);
-      out.invocation->set_cache(cache);
-      out.invocation->set_interfaces(job.interfaces, job.imports_fingerprint);
-      out.invocation->set_deadline_ms(job.deadline_ms);
-      if (job.object_only) {
-        // Module object compile: the product is the invocation's Binary;
-        // link/load/verify happen on the merged program (build_graph.h).
-        const bool ok = PassManager::Object(job.config).Run(out.invocation.get());
-        out.ok = ok && out.invocation->binary != nullptr;
-        continue;
-      }
-      const bool ok = RunStandardPipeline(out.invocation.get(), job.verify);
-      if (ok) {
-        out.program = out.invocation->TakeProgram();
-      }
-      out.ok = ok && out.program != nullptr;
+  ParallelFor(jobs.size(), num_workers, [&](size_t i) {
+    const BatchJob& job = jobs[i];
+    BatchOutcome& out = outcomes[i];
+    out.label = job.label;
+    out.invocation = std::make_unique<CompilerInvocation>(job.source, job.config);
+    out.invocation->set_cache(cache);
+    out.invocation->set_interfaces(job.interfaces, job.imports_fingerprint);
+    out.invocation->set_deadline_ms(job.deadline_ms);
+    if (job.object_only) {
+      // Module object compile: the product is the invocation's Binary;
+      // link/load/verify happen on the merged program (build_graph.h).
+      const bool ok = PassManager::Object(job.config).Run(out.invocation.get());
+      out.ok = ok && out.invocation->binary != nullptr;
+      return;
     }
-  };
-
-  unsigned n = num_workers != 0 ? num_workers : std::thread::hardware_concurrency();
-  if (n == 0) {
-    n = 1;
-  }
-  n = static_cast<unsigned>(
-      std::min<size_t>(n, jobs.size() == 0 ? 1 : jobs.size()));
-  if (n <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(n);
-    for (unsigned t = 0; t < n; ++t) {
-      threads.emplace_back(worker);
+    const bool ok = RunStandardPipeline(out.invocation.get(), job.verify);
+    if (ok) {
+      out.program = out.invocation->TakeProgram();
     }
-    for (std::thread& t : threads) {
-      t.join();
-    }
-  }
+    out.ok = ok && out.program != nullptr;
+  });
   return outcomes;
 }
 

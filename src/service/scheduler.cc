@@ -1,21 +1,17 @@
 #include "src/service/scheduler.h"
 
-#include "src/support/strings.h"
-
 namespace confllvm {
 
-std::string ServeScheduler::Stats::ToJson() const {
-  return StrFormat(
-      "{\"submitted\":%llu,\"accepted\":%llu,\"completed\":%llu,"
-      "\"rejected_queue_full\":%llu,\"rejected_client_cap\":%llu,"
-      "\"peak_queue_depth\":%llu,\"clients_seen\":%llu}",
-      static_cast<unsigned long long>(submitted),
-      static_cast<unsigned long long>(accepted),
-      static_cast<unsigned long long>(completed),
-      static_cast<unsigned long long>(rejected_queue_full),
-      static_cast<unsigned long long>(rejected_client_cap),
-      static_cast<unsigned long long>(peak_queue_depth),
-      static_cast<unsigned long long>(clients_seen));
+Json ServeScheduler::Stats::ToJson() const {
+  Json j = Json::Object();
+  j.Set("submitted", Json::UInt(submitted));
+  j.Set("accepted", Json::UInt(accepted));
+  j.Set("completed", Json::UInt(completed));
+  j.Set("rejected_queue_full", Json::UInt(rejected_queue_full));
+  j.Set("rejected_client_cap", Json::UInt(rejected_client_cap));
+  j.Set("peak_queue_depth", Json::UInt(peak_queue_depth));
+  j.Set("clients_seen", Json::UInt(clients_seen));
+  return j;
 }
 
 ServeScheduler::ServeScheduler(Options opts) : opts_(opts) {}

@@ -27,6 +27,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/support/json.h"
+
 namespace confllvm {
 
 class ServeScheduler {
@@ -52,7 +54,7 @@ class ServeScheduler {
     uint64_t rejected_client_cap = 0;
     uint64_t peak_queue_depth = 0;
     uint64_t clients_seen = 0;
-    std::string ToJson() const;
+    Json ToJson() const;
   };
 
   explicit ServeScheduler(Options opts);

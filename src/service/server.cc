@@ -58,21 +58,18 @@ void EchoId(const Json& req, Json* resp) {
 
 }  // namespace
 
-std::string ConfccdServer::ServerStats::ToJson() const {
-  return StrFormat(
-      "{\"connections_accepted\":%llu,\"connections_dropped_inject\":%llu,"
-      "\"connections_closed\":%llu,\"bad_frames\":%llu,\"bad_requests\":%llu,"
-      "\"requests\":%llu,\"responses_dropped\":%llu,"
-      "\"injected_read_faults\":%llu,\"injected_dispatch_faults\":%llu}",
-      static_cast<unsigned long long>(connections_accepted),
-      static_cast<unsigned long long>(connections_dropped_inject),
-      static_cast<unsigned long long>(connections_closed),
-      static_cast<unsigned long long>(bad_frames),
-      static_cast<unsigned long long>(bad_requests),
-      static_cast<unsigned long long>(requests),
-      static_cast<unsigned long long>(responses_dropped),
-      static_cast<unsigned long long>(injected_read_faults),
-      static_cast<unsigned long long>(injected_dispatch_faults));
+Json ConfccdServer::ServerStats::ToJson() const {
+  Json j = Json::Object();
+  j.Set("connections_accepted", Json::UInt(connections_accepted));
+  j.Set("connections_dropped_inject", Json::UInt(connections_dropped_inject));
+  j.Set("connections_closed", Json::UInt(connections_closed));
+  j.Set("bad_frames", Json::UInt(bad_frames));
+  j.Set("bad_requests", Json::UInt(bad_requests));
+  j.Set("requests", Json::UInt(requests));
+  j.Set("responses_dropped", Json::UInt(responses_dropped));
+  j.Set("injected_read_faults", Json::UInt(injected_read_faults));
+  j.Set("injected_dispatch_faults", Json::UInt(injected_dispatch_faults));
+  return j;
 }
 
 ConfccdServer::ConfccdServer(Options opts)
@@ -419,9 +416,9 @@ Json ConfccdServer::HandleStats() {
   // --cache-stats: row and JSON render the same numbers.
   const CacheStats cs = cache_.stats();
   resp.Set("cache_row", Json::Str(cs.ToRow()));
-  resp.Set("cache_json", Json::Str(cs.ToJson()));
-  resp.Set("sched_json", Json::Str(sched_.stats().ToJson()));
-  resp.Set("server_json", Json::Str(server_stats().ToJson()));
+  resp.Set("cache_json", Json::Str(cs.ToJson().Dump()));
+  resp.Set("sched_json", Json::Str(sched_.stats().ToJson().Dump()));
+  resp.Set("server_json", Json::Str(server_stats().ToJson().Dump()));
   return resp;
 }
 
@@ -522,7 +519,7 @@ Json ConfccdServer::HandleLink(const Json& req) {
     resp.Set("error", Json::Str("link failed"));
   }
   resp.Set("diagnostics", Json::Str(diags));
-  resp.Set("graph_json", Json::Str(build.stats.ToJson()));
+  resp.Set("graph_json", Json::Str(build.stats.ToJson().Dump()));
   resp.Set("link_cached", Json::Bool(build.stats.link_cached));
   if (build.ok && req.GetBool("want_bin")) {
     resp.Set("bin_hex",

@@ -73,7 +73,7 @@ class ConfccdServer {
     uint64_t responses_dropped = 0;  // peer gone before the response
     uint64_t injected_read_faults = 0;
     uint64_t injected_dispatch_faults = 0;
-    std::string ToJson() const;
+    Json ToJson() const;
   };
 
   explicit ConfccdServer(Options opts);

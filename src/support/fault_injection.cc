@@ -203,23 +203,24 @@ std::vector<FaultInjector::SiteCount> FaultInjector::Report() const {
   return out;
 }
 
-std::string FaultInjector::ReportJson() const {
+Json FaultInjector::ReportJson() const {
   uint64_t seed;
   {
     std::lock_guard<std::mutex> lock(mu_);
     seed = seed_;
   }
-  const std::vector<SiteCount> sites = Report();
-  std::string json =
-      StrFormat("{\"seed\":%llu,\"sites\":[", static_cast<unsigned long long>(seed));
-  for (size_t i = 0; i < sites.size(); ++i) {
-    json += StrFormat("%s{\"site\":\"%s\",\"hits\":%llu,\"fired\":%llu}",
-                      i == 0 ? "" : ",", sites[i].site.c_str(),
-                      static_cast<unsigned long long>(sites[i].hits),
-                      static_cast<unsigned long long>(sites[i].fired));
+  Json sites = Json::Array();
+  for (const SiteCount& sc : Report()) {
+    Json site = Json::Object();
+    site.Set("site", Json::Str(sc.site));
+    site.Set("hits", Json::UInt(sc.hits));
+    site.Set("fired", Json::UInt(sc.fired));
+    sites.Append(std::move(site));
   }
-  json += "]}\n";
-  return json;
+  Json j = Json::Object();
+  j.Set("seed", Json::UInt(seed));
+  j.Set("sites", std::move(sites));
+  return j;
 }
 
 }  // namespace confllvm

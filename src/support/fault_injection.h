@@ -39,6 +39,8 @@
 #include <string>
 #include <vector>
 
+#include "src/support/json.h"
+
 namespace confllvm {
 
 class FaultInjector {
@@ -78,7 +80,7 @@ class FaultInjector {
   // Configure/Reset, name-sorted.
   std::vector<SiteCount> Report() const;
   // {"seed":N,"sites":[{"site":...,"hits":...,"fired":...},...]}
-  std::string ReportJson() const;
+  Json ReportJson() const;
 
  private:
   struct Rule {

@@ -58,29 +58,4 @@ bool StartsWith(const std::string& s, const std::string& prefix) {
   return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
 }
 
-void AppendEscaped(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (const char c : s) {
-    const unsigned char u = static_cast<unsigned char>(c);
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      case '\b': *out += "\\b"; break;
-      case '\f': *out += "\\f"; break;
-      default:
-        if (u < 0x20) {
-          char buf[8];
-          snprintf(buf, sizeof buf, "\\u%04x", u);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 }  // namespace confllvm

@@ -26,10 +26,6 @@ bool ParseU64(const std::string& s, uint64_t* out);
 // True if `s` starts with `prefix`.
 bool StartsWith(const std::string& s, const std::string& prefix);
 
-// Appends `s` to `out` as a quoted JSON string: quotes, backslashes and
-// control characters are escaped, everything else is copied byte for byte.
-void AppendEscaped(const std::string& s, std::string* out);
-
 }  // namespace confllvm
 
 #endif  // CONFLLVM_SRC_SUPPORT_STRINGS_H_

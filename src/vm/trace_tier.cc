@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/support/strings.h"
 #include "src/vm/memory.h"
 #include "src/vm/program.h"
 
@@ -420,15 +419,14 @@ TraceTierStats TraceTier::Telemetry() const {
   return s;
 }
 
-std::string TraceTierStats::ToJson() const {
-  return StrFormat(
-      "{\"candidate_blocks\": %llu, \"promoted_blocks\": %llu, "
-      "\"block_runs\": %llu, \"trace_instrs\": %llu, \"entry_bails\": %llu}",
-      static_cast<unsigned long long>(candidate_blocks),
-      static_cast<unsigned long long>(promoted_blocks),
-      static_cast<unsigned long long>(block_runs),
-      static_cast<unsigned long long>(trace_instrs),
-      static_cast<unsigned long long>(entry_bails));
+Json TraceTierStats::ToJson() const {
+  Json j = Json::Object();
+  j.Set("candidate_blocks", Json::UInt(candidate_blocks));
+  j.Set("promoted_blocks", Json::UInt(promoted_blocks));
+  j.Set("block_runs", Json::UInt(block_runs));
+  j.Set("trace_instrs", Json::UInt(trace_instrs));
+  j.Set("entry_bails", Json::UInt(entry_bails));
+  return j;
 }
 
 }  // namespace confllvm

@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "src/support/json.h"
 #include "src/vm/exec_image.h"
 
 namespace confllvm {
@@ -160,7 +161,7 @@ struct TraceTierStats {
   uint64_t trace_instrs = 0;
   uint64_t entry_bails = 0;       // promoted entries that ran per-instruction
 
-  std::string ToJson() const;
+  Json ToJson() const;
 };
 
 // One block's promotion state. `ops` is empty until promotion; afterwards it

@@ -5,7 +5,8 @@
 // nonzero with a one-line diagnostic, injected
 // chaos never changes emitted bytes, and the injector's hit-count report
 // lands where --inject-report points. The confccd daemon's numeric flags
-// are checked the same way against its real binary (CONFCCD_PATH).
+// are checked the same way against its real binary (CONFCCD_PATH), and so is
+// its SIGTERM drain: stats sinks written, exit 0.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -20,7 +21,10 @@
 #include <string>
 #include <vector>
 
+#include "src/support/json.h"
+
 namespace fs = std::filesystem;
+using confllvm::Json;
 
 namespace {
 
@@ -367,6 +371,43 @@ TEST(ConfccCli, ConnectToMissingDaemonFailsWithOneLine) {
   EXPECT_NE(r.output.find("cannot connect to daemon"), std::string::npos)
       << r.output;
   EXPECT_EQ(std::count(r.output.begin(), r.output.end(), '\n'), 1) << r.output;
+}
+
+// SIGTERM drains the daemon: after serving one `confcc --connect` run it
+// exits 0 and writes both stats sinks as parseable JSON whose counters
+// account for that run.
+TEST(ConfccdCli, SigtermDrainsAndWritesStatsSinks) {
+  TempDir dir;
+  const std::string src = dir.File("sum.mc");
+  WriteFile(src, kSource);
+  const std::string sock = dir.File("d.sock");
+  const std::string log = dir.File("confccd.log");
+  const std::string cache_json = dir.File("cache.json");
+  const std::string sched_json = dir.File("sched.json");
+  // The daemon announces itself once it listens; wait for that line, not
+  // for the socket file (bind creates it before listen).
+  const auto r = RunShell(
+      std::string("timeout 20 ") + CONFCCD_PATH + " --socket=" + sock +
+      " --cache-stats-json=" + cache_json + " --sched-stats-json=" +
+      sched_json + " >" + log + " 2>&1 & pid=$!; "
+      "for i in $(seq 1 200); do grep -q 'serving on' " + log +
+      " && break; sleep 0.05; done; " + CONFCC_PATH + " --connect=" + sock +
+      " " + src + " >/dev/null 2>&1; echo connect=$?; "
+      "kill -TERM $pid; wait $pid; echo daemon=$?");
+  EXPECT_NE(r.output.find("connect=55\n"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("daemon=0\n"), std::string::npos)
+      << r.output << ReadFile(log);
+
+  Json cache;
+  Json sched;
+  std::string err;
+  ASSERT_TRUE(Json::Parse(ReadFile(cache_json), &cache, &err))
+      << err << "\n" << ReadFile(log);
+  ASSERT_TRUE(Json::Parse(ReadFile(sched_json), &sched, &err))
+      << err << "\n" << ReadFile(log);
+  EXPECT_EQ(sched.GetUInt("accepted"), 1u) << sched.Dump();
+  EXPECT_EQ(sched.GetUInt("completed"), 1u) << sched.Dump();
+  EXPECT_GT(cache.GetUInt("hits") + cache.GetUInt("misses"), 0u) << cache.Dump();
 }
 
 }  // namespace

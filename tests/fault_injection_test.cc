@@ -34,6 +34,7 @@
 #include "src/driver/pipeline.h"
 #include "src/isa/binary.h"
 #include "src/support/fault_injection.h"
+#include "src/support/json.h"
 #include "src/vm/vm.h"
 
 namespace fs = std::filesystem;
@@ -130,7 +131,7 @@ TEST(FaultInjector, NthHitFiresExactlyOnceAndGlobArmsByPrefix) {
   EXPECT_TRUE(fi.ShouldFail("glob.prefix.b"));   // .b has its own hit count
   EXPECT_FALSE(fi.ShouldFail("unrelated.site"));
 
-  const std::string json = fi.ReportJson();
+  const std::string json = fi.ReportJson().Dump();
   EXPECT_NE(json.find("\"some.site\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"glob.prefix.a\""), std::string::npos) << json;
 }
@@ -330,7 +331,7 @@ TEST(DiskResilience, ResilienceCountersSurfaceInStatsRowAndJson) {
   const CacheStats cs = cache->stats();
   const std::string row = cs.ToRow();
   EXPECT_NE(row.find("disk-resilience:"), std::string::npos) << row;
-  const std::string json = cs.ToJson();
+  const std::string json = cs.ToJson().Dump();
   for (const char* key :
        {"\"disk_retries\"", "\"disk_io_failures\"", "\"disk_store_failures\"",
         "\"disk_breaker_opens\"", "\"disk_breaker_short_circuits\"",
@@ -436,11 +437,22 @@ TEST(SchedulerIsolation, FailedModuleSkipsOnlyItsTransitiveDependents) {
       build.diags.Contains("module 'app' skipped: dependency 'mid' failed"));
 
   // The per-module JSON rows carry the skip flag.
-  const std::string json = build.stats.ToJson();
-  EXPECT_NE(json.find("\"name\": \"mid\", \"wave\": 1, \"ok\": false, "
-                      "\"skipped\": true"),
-            std::string::npos)
-      << json;
+  const std::string json = build.stats.ToJson().Dump();
+  Json doc;
+  std::string err;
+  ASSERT_TRUE(Json::Parse(json, &doc, &err)) << err << "\n" << json;
+  const Json* detail = doc.Find("module_detail");
+  ASSERT_NE(detail, nullptr) << json;
+  const Json* mid = nullptr;
+  for (const Json& row : detail->items()) {
+    if (row.GetString("name") == "mid") {
+      mid = &row;
+    }
+  }
+  ASSERT_NE(mid, nullptr) << json;
+  EXPECT_EQ(mid->GetUInt("wave", 99), 1u) << json;
+  EXPECT_FALSE(mid->GetBool("ok", true)) << json;
+  EXPECT_TRUE(mid->GetBool("skipped")) << json;
 }
 
 // ---- VM wall-clock watchdog ----

@@ -1,9 +1,15 @@
 // Unit tests for the lower-level modules: lexer, parser, sema/qualifier
 // inference, IR optimizations, liveness, ISA encode/decode (property),
-// loader magic selection, allocator, VM memory/segmentation semantics.
+// loader magic selection, allocator, VM memory/segmentation semantics, and
+// the member names of the stats documents.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/analysis/liveness.h"
+#include "src/driver/artifact_cache.h"
+#include "src/driver/build_graph.h"
 #include "src/driver/confcc.h"
 #include "src/ir/irgen.h"
 #include "src/isa/isa.h"
@@ -13,7 +19,12 @@
 #include "src/opt/passes.h"
 #include "src/runtime/allocator.h"
 #include "src/sema/qual_solver.h"
+#include "src/service/scheduler.h"
+#include "src/service/server.h"
+#include "src/support/fault_injection.h"
+#include "src/support/json.h"
 #include "src/support/rng.h"
+#include "src/vm/trace_tier.h"
 
 namespace confllvm {
 namespace {
@@ -567,6 +578,79 @@ TEST(VmSemantics, ParallelThreadsScaleOnCores) {
   // 4 threads on 2 cores take about twice the wall time of 2 threads.
   EXPECT_GT(four.wall_cycles, two.wall_cycles * 17 / 10);
   EXPECT_LT(four.wall_cycles, two.wall_cycles * 23 / 10);
+}
+
+// ---- stats documents ----
+
+std::vector<std::string> MemberNames(const Json& doc) {
+  std::vector<std::string> names;
+  for (const auto& kv : doc.members()) {
+    names.push_back(kv.first);
+  }
+  return names;
+}
+
+// The counter names CI, `confcc --connect` and the benchmark read: each
+// document's members, in order, and a dump that parses back to itself with
+// every member's kind (an integral double stays a double).
+TEST(StatsDocuments, MemberNamesAreStable) {
+  const auto expect_stable = [](const Json& doc,
+                                const std::vector<std::string>& names) {
+    const std::string dumped = doc.Dump();
+    EXPECT_EQ(MemberNames(doc), names) << dumped;
+    Json parsed;
+    std::string err;
+    ASSERT_TRUE(Json::Parse(dumped, &parsed, &err)) << err << "\n" << dumped;
+    EXPECT_EQ(parsed.Dump(), dumped);
+    for (size_t i = 0; i < names.size() && i < parsed.members().size(); ++i) {
+      EXPECT_EQ(parsed.members()[i].second.kind(), doc.members()[i].second.kind())
+          << names[i] << " in " << dumped;
+    }
+  };
+
+  expect_stable(
+      CacheStats{}.ToJson(),
+      {"hits", "misses", "shared_waits", "insertions", "evictions",
+       "bytes_retained", "prefix_shares", "link_hits", "link_misses",
+       "disk_hits", "disk_misses", "disk_stores", "disk_evictions",
+       "disk_invalid", "disk_retries", "disk_io_failures",
+       "disk_store_failures", "disk_breaker_opens",
+       "disk_breaker_short_circuits", "disk_breaker_probes",
+       "disk_breaker_open", "hits_by_stage", "misses_by_stage"});
+  expect_stable(ServeScheduler::Stats{}.ToJson(),
+                {"submitted", "accepted", "completed", "rejected_queue_full",
+                 "rejected_client_cap", "peak_queue_depth", "clients_seen"});
+  expect_stable(
+      ConfccdServer::ServerStats{}.ToJson(),
+      {"connections_accepted", "connections_dropped_inject",
+       "connections_closed", "bad_frames", "bad_requests", "requests",
+       "responses_dropped", "injected_read_faults",
+       "injected_dispatch_faults"});
+  expect_stable(TraceTierStats{}.ToJson(),
+                {"candidate_blocks", "promoted_blocks", "block_runs",
+                 "trace_instrs", "entry_bails"});
+
+  BuildGraphStats graph;
+  graph.per_module.push_back({"leaf \"quoted\"", 0, true, false, true, 2.0});
+  const Json graph_doc = graph.ToJson();
+  expect_stable(graph_doc, {"modules", "waves", "codegen_ran", "link_cached",
+                            "link", "module_detail"});
+  expect_stable(*graph_doc.Find("link"), {"code_words", "functions",
+                                          "resolved_call_sites",
+                                          "contract_checks"});
+  ASSERT_EQ(graph_doc.Find("module_detail")->items().size(), 1u);
+  expect_stable(graph_doc.Find("module_detail")->items()[0],
+                {"name", "wave", "ok", "skipped", "codegen_cached", "ms"});
+
+  FaultInjector& fi = FaultInjector::Instance();
+  std::string err;
+  ASSERT_TRUE(fi.Configure("seed=5,unit.site=n1", &err)) << err;
+  EXPECT_TRUE(fi.ShouldFail("unit.site"));
+  const Json report = fi.ReportJson();
+  fi.Reset();
+  expect_stable(report, {"seed", "sites"});
+  ASSERT_EQ(report.Find("sites")->items().size(), 1u);
+  expect_stable(report.Find("sites")->items()[0], {"site", "hits", "fired"});
 }
 
 }  // namespace

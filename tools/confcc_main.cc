@@ -154,6 +154,18 @@ std::unique_ptr<ArtifactCache> MakeCache(const Options& opt, bool* error) {
   return cache;
 }
 
+// Writes one dumped JSON document to `path`, newline-terminated; false
+// after a one-line diagnostic when the file cannot be written.
+bool WriteSink(const std::string& path, const std::string& json) {
+  std::ofstream out(path, std::ios::trunc);
+  if (!out) {
+    fprintf(stderr, "confcc: cannot write %s\n", path.c_str());
+    return false;
+  }
+  out << json << '\n';
+  return true;
+}
+
 // One coherent snapshot rendered to every requested sink. Taking the
 // snapshot once matters: the row and the JSON must agree even if something
 // were still compiling (see ArtifactCache::stats()).
@@ -162,15 +174,8 @@ bool ReportCacheStats(const ArtifactCache& cache, const Options& opt) {
   if (opt.cache_stats) {
     fputs(cs.ToRow().c_str(), stderr);
   }
-  if (!opt.cache_stats_json.empty()) {
-    std::ofstream out(opt.cache_stats_json, std::ios::trunc);
-    if (!out) {
-      fprintf(stderr, "confcc: cannot write %s\n", opt.cache_stats_json.c_str());
-      return false;
-    }
-    out << cs.ToJson();
-  }
-  return true;
+  return opt.cache_stats_json.empty() ||
+         WriteSink(opt.cache_stats_json, cs.ToJson().Dump());
 }
 
 bool EmitBinary(const Binary& bin, const std::string& path) {
@@ -202,15 +207,13 @@ bool RunProgram(std::unique_ptr<CompiledProgram> compiled, const Options& opt,
     const std::string path = label.empty()
                                  ? opt.trace_stats_json
                                  : opt.trace_stats_json + "." + label;
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) {
-      fprintf(stderr, "confcc: cannot write %s\n", path.c_str());
-      return false;
-    }
     // Engines below kTrace have no tier; an empty telemetry object keeps the
     // sink well-formed for whoever diffs it.
     const TraceTier* tt = s->vm->trace_tier();
-    out << (tt != nullptr ? tt->Telemetry().ToJson() : TraceTierStats{}.ToJson());
+    const TraceTierStats ts = tt != nullptr ? tt->Telemetry() : TraceTierStats{};
+    if (!WriteSink(path, ts.ToJson().Dump())) {
+      return false;
+    }
   }
   if (!r.ok) {
     fprintf(stderr, "confcc: %s faulted: %s (%s)\n", opt.entry.c_str(),
@@ -374,16 +377,6 @@ std::unique_ptr<CompiledProgram> BuildLinked(const BuildGraph& graph,
   return cp;
 }
 
-bool WriteGraphStats(const std::string& path, const std::string& json) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    fprintf(stderr, "confcc: cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << json;
-  return true;
-}
-
 int RunLink(const Options& opt) {
   DiagEngine gdiags;
   BuildGraph graph;
@@ -422,22 +415,20 @@ int RunLink(const Options& opt) {
   if (opt.time_passes) {
     fprintf(stderr, "vm engine: %s\n", EngineName(opt.engine));
   }
-  std::string graph_json;
+  Json graph_json;
   if (opt.sweep) {
     int failures = 0;
-    graph_json = "[\n";
+    graph_json = Json::Array();
     fprintf(stderr, "%-12s%8s%14s\n", "preset", "ok", "cycles");
-    constexpr size_t kNumPresets =
-        sizeof(kAllBuildPresets) / sizeof(kAllBuildPresets[0]);
-    for (size_t pi = 0; pi < kNumPresets; ++pi) {
-      const BuildPreset p = kAllBuildPresets[pi];
+    for (const BuildPreset p : kAllBuildPresets) {
       BuildGraphStats stats;
       auto compiled =
           BuildLinked(graph, BuildConfig::ForWholeProgram(p, opt.all_private),
                       opt, cache.get(), &stats);
-      graph_json += std::string("{\"preset\": \"") + PresetName(p) +
-                    "\", \"graph\": " + stats.ToJson() + "}";
-      graph_json += pi + 1 == kNumPresets ? "\n" : ",\n";
+      Json row = Json::Object();
+      row.Set("preset", Json::Str(PresetName(p)));
+      row.Set("graph", stats.ToJson());
+      graph_json.Append(std::move(row));
       if (compiled == nullptr) {
         ++failures;
         fprintf(stderr, "%-12s%8s\n", PresetName(p), "FAIL");
@@ -458,7 +449,6 @@ int RunLink(const Options& opt) {
       fprintf(stderr, "%-12s%8s%14llu\n", PresetName(p), "ok",
               static_cast<unsigned long long>(cycles));
     }
-    graph_json += "]\n";
     rc = failures == 0 ? 0 : 1;
   } else {
     BuildGraphStats stats;
@@ -485,7 +475,7 @@ int RunLink(const Options& opt) {
     }
   }
   if (!opt.graph_stats_json.empty() &&
-      !WriteGraphStats(opt.graph_stats_json, graph_json)) {
+      !WriteSink(opt.graph_stats_json, graph_json.Dump())) {
     return 1;
   }
   if (cache != nullptr && !ReportCacheStats(*cache, opt)) {
@@ -517,13 +507,11 @@ int FetchDaemonStats(ConfccdClient& client, const Options& opt) {
   if (opt.cache_stats) {
     fputs(resp.GetString("cache_row").c_str(), stderr);
   }
-  if (!opt.cache_stats_json.empty()) {
-    std::ofstream out(opt.cache_stats_json, std::ios::trunc);
-    if (!out) {
-      fprintf(stderr, "confcc: cannot write %s\n", opt.cache_stats_json.c_str());
-      return 1;
-    }
-    out << resp.GetString("cache_json");
+  // The daemon sends its cache document already dumped (the `stats` verb's
+  // cache_json string).
+  if (!opt.cache_stats_json.empty() &&
+      !WriteSink(opt.cache_stats_json, resp.GetString("cache_json"))) {
+    return 1;
   }
   return 0;
 }
@@ -935,14 +923,9 @@ int main(int argc, char** argv) {
     fprintf(stderr, "confcc: fatal: unknown error\n");
     rc = 1;
   }
-  if (!g_inject_report.empty()) {
-    std::ofstream out(g_inject_report, std::ios::trunc);
-    if (out) {
-      out << FaultInjector::Instance().ReportJson();
-    } else {
-      fprintf(stderr, "confcc: cannot write %s\n", g_inject_report.c_str());
-      rc = rc == 0 ? 1 : rc;
-    }
+  if (!g_inject_report.empty() &&
+      !WriteSink(g_inject_report, FaultInjector::Instance().ReportJson().Dump())) {
+    rc = rc == 0 ? 1 : rc;
   }
   return rc;
 }

@@ -14,6 +14,8 @@
 // memory tier, single-flight dedup, and linked-image cache warm *across*
 // invocations. Runs until SIGINT/SIGTERM or a `shutdown` request, then
 // drains in-flight work, writes the requested stats sinks, and exits 0.
+// The stop signals are taken by sigwait on one thread, never by a handler:
+// RequestShutdown locks a mutex, which a handler must not do.
 //
 // Numeric flags take an unsigned integer (decimal, 0x hex or 0 octal); any
 // other value exits 2 with the usage text before the daemon starts.
@@ -25,10 +27,10 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <string>
+#include <thread>
 
 #include "src/service/server.h"
 #include "src/support/fault_injection.h"
@@ -68,23 +70,15 @@ bool ParseFlag(const char* flag, const std::string& value, T* out) {
 
 std::string g_inject_report;
 
-ConfccdServer* g_server = nullptr;
-
-void OnSignal(int) {
-  // Async-signal-safe: just flag the shutdown; main() does the teardown.
-  if (g_server != nullptr) {
-    g_server->RequestShutdown();
-  }
-}
-
-bool WriteSink(const std::string& path, const std::string& text,
+// Writes one dumped JSON document to `path`, newline-terminated.
+bool WriteSink(const std::string& path, const std::string& json,
                const char* what) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) {
     fprintf(stderr, "confccd: cannot write %s %s\n", what, path.c_str());
     return false;
   }
-  out << text;
+  out << json << '\n';
   return true;
 }
 
@@ -156,24 +150,37 @@ int Main(int argc, char** argv) {
     return Usage();
   }
 
+  // Block the stop signals before Start so every daemon thread inherits the
+  // mask; only `signal_thread` takes them, in sigwait.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
+
   ConfccdServer server(opts);
   std::string err;
   if (!server.Start(&err)) {
     fprintf(stderr, "confccd: %s\n", err.c_str());
     return 1;
   }
-  g_server = &server;
-  signal(SIGINT, OnSignal);
-  signal(SIGTERM, OnSignal);
+  std::thread signal_thread([&server, stop_signals] {
+    int sig = 0;
+    sigwait(&stop_signals, &sig);
+    server.RequestShutdown();
+  });
 
   fprintf(stderr, "confccd: serving on %s (workers=%u, queue=%zu, "
           "per-client=%zu)\n",
           opts.socket_path.c_str(), server.scheduler().options().num_workers,
           opts.sched.max_queue_depth, opts.sched.max_inflight_per_client);
   server.WaitForShutdown();
+  // After a `shutdown` request the signal thread still waits in sigwait;
+  // wake it (a no-op when a signal already ended it).
+  pthread_kill(signal_thread.native_handle(), SIGTERM);
+  signal_thread.join();
   fprintf(stderr, "confccd: shutting down\n");
   server.Stop();
-  g_server = nullptr;
 
   // Final stats, written after the drain so the counters are complete. One
   // snapshot per sink, same discipline as confcc --cache-stats.
@@ -181,12 +188,12 @@ int Main(int argc, char** argv) {
   const CacheStats cs = server.cache().stats();
   fputs(cs.ToRow().c_str(), stderr);
   if (!cache_stats_json.empty() &&
-      !WriteSink(cache_stats_json, cs.ToJson(), "cache stats")) {
+      !WriteSink(cache_stats_json, cs.ToJson().Dump(), "cache stats")) {
     rc = 1;
   }
   if (!sched_stats_json.empty() &&
-      !WriteSink(sched_stats_json,
-                 server.scheduler().stats().ToJson() + "\n", "sched stats")) {
+      !WriteSink(sched_stats_json, server.scheduler().stats().ToJson().Dump(),
+                 "sched stats")) {
     rc = 1;
   }
   return rc;
@@ -210,14 +217,10 @@ int main(int argc, char** argv) {
     fprintf(stderr, "confccd: fatal: unknown error\n");
     rc = 1;
   }
-  if (!g_inject_report.empty()) {
-    std::ofstream out(g_inject_report, std::ios::trunc);
-    if (out) {
-      out << FaultInjector::Instance().ReportJson();
-    } else {
-      fprintf(stderr, "confccd: cannot write %s\n", g_inject_report.c_str());
-      rc = rc == 0 ? 1 : rc;
-    }
+  if (!g_inject_report.empty() &&
+      !WriteSink(g_inject_report, FaultInjector::Instance().ReportJson().Dump(),
+                 "inject report")) {
+    rc = rc == 0 ? 1 : rc;
   }
   return rc;
 }

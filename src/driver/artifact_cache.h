@@ -6,8 +6,11 @@
 // the Parse/Sema/IrGen prefix is identical across the whole eight-preset
 // §7.1 sweep, the Opt artifact is shared per OptLevel, and only
 // Codegen/Load differ per instrumentation config. The cache is the engine
-// behind both warm rebuilds (an unchanged stage is restored by deep-cloning
-// its cached artifact) and CompileBatch front-end sharing.
+// behind both warm rebuilds (an unchanged stage is restored from its cached
+// artifact) and CompileBatch front-end sharing. Front-end artifacts (AST,
+// TypedProgram, IR) are immutable and restored by sharing the pointer, so
+// one cached front end serves every invocation that hits it; the Binary and
+// the LoadedProgram are copied into each restoring invocation.
 //
 // Concurrency: all operations are thread-safe. Lookups are *single-flight* —
 // when several batch workers miss on the same key simultaneously, exactly

@@ -1,8 +1,7 @@
 #include "src/driver/confcc.h"
 
-#include <thread>
-
 #include "src/driver/pipeline.h"
+#include "src/support/parallel.h"
 #include "src/support/strings.h"
 
 namespace confllvm {
@@ -11,10 +10,7 @@ unsigned NormalizeJobCount(long long requested, std::string* warning) {
   if (requested > 0) {
     return static_cast<unsigned>(requested);
   }
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) {
-    hw = 1;
-  }
+  const unsigned hw = ResolveWorkerCount(0);
   if (warning != nullptr) {
     *warning = StrFormat("job count %lld clamped to hardware concurrency (%u)",
                          requested, hw);

@@ -187,13 +187,17 @@ class IrGenStage : public Stage {
 
 // Runs the registered FunctionPasses for one OptLevel. Keeps the same
 // per-function bounded-fixpoint schedule the monolithic driver used, so the
-// optimized IR is bit-identical to the pre-pipeline compiler.
+// optimized IR is bit-identical to the pre-pipeline compiler. The only
+// stage that rewrites its input, so it optimizes a copy: the unoptimized
+// module may be the IrGen artifact other invocations are reading.
 class OptStage : public Stage {
  public:
   explicit OptStage(PassPipelineOptions opts) : opts_(opts) {}
   StageId id() const override { return StageId::kOpt; }
   bool Run(CompilerInvocation* inv) override {
-    OptimizeModule(inv->ir.get(), opts_, &inv->stats().passes);
+    auto ir = std::make_shared<IrModule>(*inv->ir);
+    OptimizeModule(ir.get(), opts_, &inv->stats().passes);
+    inv->ir = std::move(ir);
     return true;
   }
   std::string CacheKey(const CompilerInvocation& inv) const override {
@@ -258,13 +262,14 @@ class VerifyStage : public Stage {
 
 // ---- Cache snapshot / restore ----
 //
-// Snapshot deep-clones the stage's output out of the invocation into an
-// immutable artifact; Restore deep-clones a cached artifact back into an
-// invocation. Both directions clone so no invocation ever aliases mutable
-// cache state — that independence is what makes cached and cold builds
-// byte-identical and lets batch workers restore concurrently. The one
-// shared piece is a LoadedProgram's ExecImage slot: the producer's program,
-// the Load artifact and every restore of it hold the same slot, so a
+// The front-end artifacts (AST, TypedProgram, IR) are immutable once their
+// stage returns, so Snapshot and Restore share them by pointer: the
+// producer, the cache and every restoring invocation read one object, and
+// the Opt stage copies the IR before it rewrites it. The backend artifacts
+// are copied, because their consumers take them over: the Load stage moves
+// the invocation's Binary into the loaded program, and a restored
+// LoadedProgram belongs to its session. That copy still shares the
+// program's ExecImage slot with the producer and the Load artifact, so a
 // program's image is built at most once, by whichever Vm needs it first,
 // and never eagerly here (compile-only and ref-engine paths never need it).
 //
@@ -283,17 +288,17 @@ StageArtifact Snapshot(const CompilerInvocation& inv, StageId id,
   a.diags.assign(all.begin() + static_cast<ptrdiff_t>(diag_base), all.end());
   switch (id) {
     case StageId::kParse:
-      a.ast = CloneProgram(*inv.ast);
+      a.ast = inv.ast;
       a.bytes = ApproxBytes(*a.ast);
       break;
     case StageId::kSema:
-      a.typed = inv.typed->Clone();
+      a.typed = inv.typed;
       a.solver = inv.stats().solver;
       a.bytes = ApproxBytes(*a.typed);
       break;
     case StageId::kIrGen:
     case StageId::kOpt:
-      a.ir = inv.ir->Clone();
+      a.ir = inv.ir;
       a.solver = inv.stats().solver;
       a.bytes = ApproxBytes(*a.ir);
       break;
@@ -324,16 +329,16 @@ void Restore(CompilerInvocation* inv, const StageArtifact& a, size_t diag_base) 
   }
   switch (a.stage) {
     case StageId::kParse:
-      inv->ast = CloneProgram(*a.ast);
+      inv->ast = a.ast;
       break;
     case StageId::kSema:
-      inv->typed = a.typed->Clone();
+      inv->typed = a.typed;
       inv->ast.reset();  // a cold Sema consumes the AST; mirror it
       inv->stats().solver = a.solver;
       break;
     case StageId::kIrGen:
     case StageId::kOpt:
-      inv->ir = a.ir->Clone();
+      inv->ir = a.ir;
       inv->stats().solver = a.solver;
       break;
     case StageId::kCodegen:
@@ -619,7 +624,7 @@ bool PassManager::Run(CompilerInvocation* inv) const {
           stage_ok = true;
         } else {
           // Producer: the registration MUST be resolved even if Run or the
-          // snapshot clone throws (e.g. bad_alloc) — otherwise every waiter
+          // snapshot throws (e.g. bad_alloc) — otherwise every waiter
           // on this key blocks forever. The guard abandons on any unwind.
           struct ProducerGuard {
             ArtifactCache* cache;

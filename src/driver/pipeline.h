@@ -22,10 +22,11 @@
 //
 //   ArtifactCache (src/driver/artifact_cache.h) — optional. When attached to
 //     an invocation, every cacheable stage first consults the cache under its
-//     content-addressed CacheKey; hits are restored by deep-cloning the
-//     cached artifact, misses run the stage and publish a snapshot. This is
-//     the incremental-compilation mode: re-running with a changed config
-//     re-executes only the stages whose keys changed.
+//     content-addressed CacheKey; hits restore the cached artifact (the front
+//     end by sharing it read-only, the backend by copying it), misses run the
+//     stage and publish a snapshot. This is the incremental-compilation mode:
+//     re-running with a changed config re-executes only the stages whose
+//     keys changed.
 #ifndef CONFLLVM_SRC_DRIVER_PIPELINE_H_
 #define CONFLLVM_SRC_DRIVER_PIPELINE_H_
 
@@ -67,7 +68,7 @@ struct StageStats {
   bool ran = false;
   bool ok = false;
   // Satisfied from the artifact cache: the stage did not execute; its output
-  // was restored by cloning a cached artifact (`ms` is the restore time).
+  // was restored from a cached artifact (`ms` is the restore time).
   bool cached = false;
   double ms = 0;
   // IR instruction counts entering/leaving the stage; 0 for stages that run
@@ -148,11 +149,13 @@ class CompilerInvocation {
 
   // Intermediate artifacts, populated as stages run and retained so a failed
   // or partial invocation can be inspected by tests and tools. Exception:
-  // the AST is consumed by the Sema stage (RunSema takes ownership), so
-  // `ast` is null from that stage onward.
-  std::unique_ptr<Program> ast;
-  std::unique_ptr<TypedProgram> typed;
-  std::unique_ptr<IrModule> ir;
+  // the Sema stage hands the AST to its TypedProgram, so `ast` is null from
+  // that stage onward. The front-end artifacts are immutable and may be
+  // shared with the artifact cache and with other invocations; the Opt
+  // stage optimizes a copy of `ir`, never the module it was handed.
+  std::shared_ptr<const Program> ast;
+  std::shared_ptr<const TypedProgram> typed;
+  std::shared_ptr<const IrModule> ir;
   std::unique_ptr<Binary> binary;
   std::unique_ptr<LoadedProgram> prog;
   std::unique_ptr<VerifyResult> verify_result;  // set by the Verify stage
@@ -278,8 +281,8 @@ struct BatchOutcome {
 //
 // With a non-null `cache`, all jobs compile through the shared artifact
 // cache: single-flight keyed lookups mean a preset sweep of one source runs
-// Parse/Sema/IrGen exactly once and clones the cached front-end artifacts
-// into the other seven jobs, without changing any output byte.
+// Parse/Sema/IrGen exactly once and shares the cached front-end artifacts
+// with the other jobs, without changing any output byte.
 std::vector<BatchOutcome> CompileBatch(const std::vector<BatchJob>& jobs,
                                        unsigned num_workers = 0,
                                        ArtifactCache* cache = nullptr);

@@ -201,10 +201,4 @@ std::string IrToString(const IrModule& m) {
   return os.str();
 }
 
-std::unique_ptr<IrModule> IrModule::Clone() const {
-  // Member-wise copy is already deep: every member (instructions, blocks,
-  // vreg tables, globals, imports) has value semantics.
-  return std::make_unique<IrModule>(*this);
-}
-
 }  // namespace confllvm

@@ -18,7 +18,6 @@
 #define CONFLLVM_SRC_IR_IR_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -211,13 +210,6 @@ struct IrModule {
   std::vector<IrGlobal> globals;
   std::vector<IrImport> imports;
   std::vector<IrModImport> module_imports;
-
-  // Deep copy. The IR holds no cross-module pointers — functions reference
-  // each other by index and all members have value semantics — so the clone
-  // is fully independent: optimizing or consuming it never touches *this.
-  // Used by the artifact cache to hand one cached front-end result to many
-  // per-preset backend runs (src/driver/artifact_cache.h).
-  std::unique_ptr<IrModule> Clone() const;
 
   const IrFunction* FindFunction(const std::string& name) const {
     for (const auto& f : functions) {

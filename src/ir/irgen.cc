@@ -591,45 +591,10 @@ class IrGen {
         }
         return v;  // pointer/int reinterpretation
       }
-      case ExprKind::kSizeof: {
-        // Size computed during sema-type resolution; recompute here.
-        // (The expression's own type is int; the operand type was validated.)
-        return EmitConstInt(SizeofValue(e));
-      }
+      case ExprKind::kSizeof:
+        return EmitConstInt(static_cast<int64_t>(info.sizeof_bytes));
     }
     return EmitConstInt(0);
-  }
-
-  int64_t SizeofValue(const Expr* e) {
-    // Re-resolve the operand type's size through the shared TypeContext by
-    // measuring the checked expression's recorded operand. Sema validated
-    // the operand; here we only need its size. The sizeof operand types are
-    // recorded by sema through expr_info of the sizeof expression itself
-    // being int; we recompute from the syntax via a tiny resolver.
-    return ResolveSizeofShape(*e->type_syntax);
-  }
-
-  int64_t ResolveSizeofShape(const TypeSyntax& ts) {
-    const Type* base = nullptr;
-    switch (ts.base) {
-      case TypeSyntax::Base::kInt: base = Types().IntType(); break;
-      case TypeSyntax::Base::kChar: base = Types().CharType(); break;
-      case TypeSyntax::Base::kFloat: base = Types().FloatType(); break;
-      case TypeSyntax::Base::kVoid: base = Types().VoidType(); break;
-      case TypeSyntax::Base::kStruct:
-        base = const_cast<TypeContext&>(Types()).StructType(ts.struct_name);
-        break;
-      case TypeSyntax::Base::kFnPtr:
-        return 8;
-    }
-    const Type* shape = base;
-    for (size_t i = 0; i < ts.pointers.size(); ++i) {
-      shape = const_cast<TypeContext&>(Types()).PointerTo(shape);
-    }
-    for (auto it = ts.array_dims.rbegin(); it != ts.array_dims.rend(); ++it) {
-      shape = const_cast<TypeContext&>(Types()).ArrayOf(shape, static_cast<uint64_t>(*it));
-    }
-    return static_cast<int64_t>(Types().SizeOf(shape));
   }
 
   uint32_t FuncIndexOf(const Symbol* s, SourceLoc loc) {

@@ -4,131 +4,6 @@
 
 namespace confllvm {
 
-namespace {
-
-std::unique_ptr<TypeSyntax> CloneTypeSyntax(const TypeSyntax* t) {
-  if (t == nullptr) {
-    return nullptr;
-  }
-  auto out = std::make_unique<TypeSyntax>();
-  out->base = t->base;
-  out->base_private = t->base_private;
-  out->struct_name = t->struct_name;
-  out->pointers = t->pointers;
-  out->array_dims = t->array_dims;
-  out->fn_ret = CloneTypeSyntax(t->fn_ret.get());
-  for (const auto& p : t->fn_params) {
-    out->fn_params.push_back(CloneTypeSyntax(p.get()));
-  }
-  out->loc = t->loc;
-  return out;
-}
-
-std::unique_ptr<Expr> CloneExpr(const Expr* e, AstCloneMap* map) {
-  if (e == nullptr) {
-    return nullptr;
-  }
-  auto out = std::make_unique<Expr>();
-  out->kind = e->kind;
-  out->loc = e->loc;
-  out->int_value = e->int_value;
-  out->float_value = e->float_value;
-  out->str_value = e->str_value;
-  out->name = e->name;
-  out->op1 = e->op1;
-  out->is_arrow = e->is_arrow;
-  out->lhs = CloneExpr(e->lhs.get(), map);
-  out->rhs = CloneExpr(e->rhs.get(), map);
-  for (const auto& a : e->args) {
-    out->args.push_back(CloneExpr(a.get(), map));
-  }
-  out->type_syntax = CloneTypeSyntax(e->type_syntax.get());
-  if (map != nullptr) {
-    map->exprs[e] = out.get();
-  }
-  return out;
-}
-
-std::unique_ptr<Stmt> CloneStmt(const Stmt* s, AstCloneMap* map) {
-  if (s == nullptr) {
-    return nullptr;
-  }
-  auto out = std::make_unique<Stmt>();
-  out->kind = s->kind;
-  out->loc = s->loc;
-  out->expr = CloneExpr(s->expr.get(), map);
-  out->decl_type = CloneTypeSyntax(s->decl_type.get());
-  out->decl_name = s->decl_name;
-  out->decl_init = CloneExpr(s->decl_init.get(), map);
-  out->for_init = CloneStmt(s->for_init.get(), map);
-  out->cond = CloneExpr(s->cond.get(), map);
-  out->step = CloneExpr(s->step.get(), map);
-  out->then_stmt = CloneStmt(s->then_stmt.get(), map);
-  out->else_stmt = CloneStmt(s->else_stmt.get(), map);
-  out->body = CloneStmt(s->body.get(), map);
-  for (const auto& sub : s->stmts) {
-    out->stmts.push_back(CloneStmt(sub.get(), map));
-  }
-  if (map != nullptr) {
-    map->stmts[s] = out.get();
-  }
-  return out;
-}
-
-}  // namespace
-
-std::unique_ptr<Program> CloneProgram(const Program& p, AstCloneMap* map) {
-  auto out = std::make_unique<Program>();
-  out->imports = p.imports;
-  out->structs.reserve(p.structs.size());
-  for (const StructDecl& sd : p.structs) {
-    StructDecl nd;
-    nd.name = sd.name;
-    nd.loc = sd.loc;
-    for (const FieldDecl& f : sd.fields) {
-      FieldDecl nf;
-      nf.type = CloneTypeSyntax(f.type.get());
-      nf.name = f.name;
-      nf.loc = f.loc;
-      nd.fields.push_back(std::move(nf));
-    }
-    out->structs.push_back(std::move(nd));
-  }
-  out->globals.reserve(p.globals.size());
-  for (const GlobalDecl& gd : p.globals) {
-    GlobalDecl ng;
-    ng.type = CloneTypeSyntax(gd.type.get());
-    ng.name = gd.name;
-    ng.init = CloneExpr(gd.init.get(), map);
-    ng.loc = gd.loc;
-    out->globals.push_back(std::move(ng));
-  }
-  out->functions.reserve(p.functions.size());
-  for (const FuncDecl& fd : p.functions) {
-    FuncDecl nf;
-    nf.name = fd.name;
-    nf.ret_type = CloneTypeSyntax(fd.ret_type.get());
-    for (const ParamDecl& pd : fd.params) {
-      ParamDecl np;
-      np.type = CloneTypeSyntax(pd.type.get());
-      np.name = pd.name;
-      np.loc = pd.loc;
-      nf.params.push_back(std::move(np));
-    }
-    nf.body = CloneStmt(fd.body.get(), map);
-    nf.loc = fd.loc;
-    out->functions.push_back(std::move(nf));
-  }
-  // FuncDecls live by value in the vector: record addresses only once the
-  // vector can no longer reallocate.
-  if (map != nullptr) {
-    for (size_t i = 0; i < p.functions.size(); ++i) {
-      map->funcs[&p.functions[i]] = &out->functions[i];
-    }
-  }
-  return out;
-}
-
 std::string TypeSyntaxToString(const TypeSyntax& t) {
   std::ostringstream os;
   if (t.base == TypeSyntax::Base::kFnPtr) {

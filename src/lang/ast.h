@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/lang/token.h"
@@ -162,21 +161,6 @@ struct Program {
   std::vector<GlobalDecl> globals;
   std::vector<FuncDecl> functions;
 };
-
-// Node correspondence recorded by CloneProgram: original node -> clone.
-// Sema side tables are keyed by Expr*/Stmt* and FunctionSema holds FuncDecl*,
-// so consumers that clone a checked AST (TypedProgram::Clone) need the map to
-// re-key their entries against the cloned nodes.
-struct AstCloneMap {
-  std::unordered_map<const Expr*, const Expr*> exprs;
-  std::unordered_map<const Stmt*, const Stmt*> stmts;
-  std::unordered_map<const FuncDecl*, const FuncDecl*> funcs;
-};
-
-// Deep-copies an entire program. Every node (expressions, statements, type
-// syntax) is duplicated; when `map` is non-null it receives the node
-// correspondences.
-std::unique_ptr<Program> CloneProgram(const Program& p, AstCloneMap* map = nullptr);
 
 // Renders an expression back to compact source-ish text (test helper).
 std::string ExprToString(const Expr& e);

@@ -12,8 +12,8 @@ namespace {
 
 class Checker {
  public:
-  Checker(std::unique_ptr<Program> ast, const SemaOptions& options, DiagEngine* diags,
-          const ModuleInterfaceSet* interfaces)
+  Checker(std::shared_ptr<const Program> ast, const SemaOptions& options,
+          DiagEngine* diags, const ModuleInterfaceSet* interfaces)
       : diags_(diags), interfaces_(interfaces) {
     tp_ = std::make_unique<TypedProgram>();
     tp_->ast = std::move(ast);
@@ -235,7 +235,7 @@ class Checker {
   }
 
   void CollectGlobals() {
-    for (GlobalDecl& gd : tp_->ast->globals) {
+    for (const GlobalDecl& gd : tp_->ast->globals) {
       if (file_scope_.count(gd.name) != 0) {
         diags_->Error(gd.loc, StrFormat("redeclaration of '%s'", gd.name.c_str()));
         continue;
@@ -379,7 +379,7 @@ class Checker {
   void CollectFunctions() {
     // Pass 1: register symbols, merge redeclarations, find definitions.
     std::unordered_set<std::string> defined;
-    for (FuncDecl& fd : tp_->ast->functions) {
+    for (const FuncDecl& fd : tp_->ast->functions) {
       auto sig = std::make_shared<FnSig>();
       sig->ret = ResolveType(*fd.ret_type, /*fresh_vars=*/false);
       for (const ParamDecl& p : fd.params) {
@@ -448,7 +448,7 @@ class Checker {
     }
     // Pass 2: any function symbol never defined is an import from T
     // (paper §6: externals table).
-    for (FuncDecl& fd : tp_->ast->functions) {
+    for (const FuncDecl& fd : tp_->ast->functions) {
       auto it = file_scope_.find(fd.name);
       if (it == file_scope_.end() || it->second->kind != Symbol::Kind::kFunc) {
         continue;
@@ -839,6 +839,7 @@ class Checker {
       case ExprKind::kSizeof: {
         QType t = ResolveType(*e->type_syntax, /*fresh_vars=*/false);
         RequireComplete(t, e->loc, "sizeof operand");
+        info.sizeof_bytes = Types().SizeOf(t.shape);
         info.type.shape = Types().IntType();
         info.type.quals = {QualTerm::Const(Qual::kPublic)};
         return info;
@@ -1342,74 +1343,13 @@ class Checker {
 
 }  // namespace
 
-std::unique_ptr<TypedProgram> RunSema(std::unique_ptr<Program> ast,
+std::unique_ptr<TypedProgram> RunSema(std::shared_ptr<const Program> ast,
                                       const SemaOptions& options, DiagEngine* diags,
                                       const ModuleInterfaceSet* interfaces) {
   if (diags->HasErrors()) {
     return nullptr;
   }
   return Checker(std::move(ast), options, diags, interfaces).Run();
-}
-
-std::unique_ptr<TypedProgram> TypedProgram::Clone() const {
-  auto out = std::make_unique<TypedProgram>();
-  AstCloneMap ast_map;
-  out->ast = CloneProgram(*ast, &ast_map);
-  TypeCloneMaps type_maps;
-  out->types = types->Clone(&type_maps);
-  out->options = options;
-  out->num_qual_vars = num_qual_vars;
-  out->num_constraints = num_constraints;
-  out->solver_stats = solver_stats;
-
-  std::unordered_map<const Symbol*, Symbol*> sym_map;
-  out->owned_symbols.reserve(owned_symbols.size());
-  for (const auto& s : owned_symbols) {
-    auto ns = std::make_unique<Symbol>(*s);
-    ns->type = RemapQType(s->type, type_maps);
-    ns->sig = CloneFnSig(s->sig, &type_maps);
-    sym_map[s.get()] = ns.get();
-    out->owned_symbols.push_back(std::move(ns));
-  }
-  auto remap_sym = [&sym_map](Symbol* s) -> Symbol* {
-    return s == nullptr ? nullptr : sym_map.at(s);
-  };
-
-  out->expr_info.reserve(expr_info.size());
-  for (const auto& [expr, info] : expr_info) {
-    ExprInfo ni = info;
-    ni.type = RemapQType(info.type, type_maps);
-    ni.sym = remap_sym(info.sym);
-    ni.callee = remap_sym(info.callee);
-    out->expr_info.emplace(ast_map.exprs.at(expr), std::move(ni));
-  }
-  out->decl_sym.reserve(decl_sym.size());
-  for (const auto& [stmt, sym] : decl_sym) {
-    out->decl_sym.emplace(ast_map.stmts.at(stmt), remap_sym(sym));
-  }
-  for (Symbol* g : globals) {
-    out->globals.push_back(remap_sym(g));
-  }
-  for (Symbol* t : trusted_imports) {
-    out->trusted_imports.push_back(remap_sym(t));
-  }
-  for (Symbol* m : module_imports) {
-    out->module_imports.push_back(remap_sym(m));
-  }
-  out->functions.reserve(functions.size());
-  for (const FunctionSema& f : functions) {
-    FunctionSema nf;
-    nf.decl = ast_map.funcs.at(f.decl);
-    nf.sym = remap_sym(f.sym);
-    for (Symbol* p : f.params) {
-      nf.params.push_back(remap_sym(p));
-    }
-    for (Symbol* l : f.locals) {
-      nf.locals.push_back(remap_sym(l));
-    }
-    out->functions.push_back(std::move(nf));
-  }
-  return out;
 }
 
 }  // namespace confllvm

@@ -49,9 +49,10 @@ struct Symbol {
 struct ExprInfo {
   QType type;  // concrete after sema
   bool is_lvalue = false;
-  Symbol* sym = nullptr;          // kVarRef binding (var or function)
   bool is_direct_call = false;    // kCall to a named function symbol
+  Symbol* sym = nullptr;          // kVarRef binding (var or function)
   Symbol* callee = nullptr;       // direct call target
+  uint64_t sizeof_bytes = 0;      // kSizeof: size of the operand type
 };
 
 struct FunctionSema {
@@ -84,8 +85,11 @@ struct SemaOptions {
   bool ct = false;
 };
 
+// The checked program. Once RunSema returns it is immutable: the artifact
+// cache hands one TypedProgram to every invocation that restores it, and IR
+// generation on several threads reads it concurrently.
 struct TypedProgram {
-  std::unique_ptr<Program> ast;
+  std::shared_ptr<const Program> ast;  // shared with the Parse artifact
   std::unique_ptr<TypeContext> types;
   SemaOptions options;
 
@@ -103,14 +107,6 @@ struct TypedProgram {
   size_t num_constraints = 0;
   QualSolverStats solver_stats;
 
-  // Deep-copies the checked program: the AST, the TypeContext, and every
-  // symbol are duplicated and all cross-references (expr side tables, decl
-  // bindings, signature sharing) are remapped onto the clones. The result is
-  // fully independent of *this — IR generation may run on both concurrently —
-  // which is what lets the artifact cache hand one cached sema result to many
-  // pipeline invocations (src/driver/artifact_cache.h).
-  std::unique_ptr<TypedProgram> Clone() const;
-
   const ExprInfo& Info(const Expr* e) const { return expr_info.at(e); }
   const FunctionSema* FindFunction(const std::string& name) const {
     for (const auto& f : functions) {
@@ -122,13 +118,16 @@ struct TypedProgram {
   }
 };
 
-// Runs semantic analysis. Returns nullptr if `diags` holds errors.
-// `interfaces` (nullable) resolves the program's `import "m"` declarations:
-// each imported module's exported signatures are declared as callable
-// symbols, and call sites are qualifier-checked against them without the
-// callee bodies ever being visible (separate compilation). A program with
-// import declarations but no matching interface is an error.
-std::unique_ptr<TypedProgram> RunSema(std::unique_ptr<Program> ast,
+// Runs semantic analysis. Returns nullptr if `diags` holds errors. Sema
+// only reads `ast` — the result keys its side tables by the shared AST's
+// nodes, so the Parse artifact and every TypedProgram built from it hold
+// the same tree. `interfaces` (nullable) resolves the program's
+// `import "m"` declarations: each imported module's exported signatures are
+// declared as callable symbols, and call sites are qualifier-checked
+// against them without the callee bodies ever being visible (separate
+// compilation). A program with import declarations but no matching
+// interface is an error.
+std::unique_ptr<TypedProgram> RunSema(std::shared_ptr<const Program> ast,
                                       const SemaOptions& options, DiagEngine* diags,
                                       const ModuleInterfaceSet* interfaces = nullptr);
 

@@ -134,94 +134,6 @@ QType TypeContext::MakeQType(const Type* shape, Qual q) const {
   return qt;
 }
 
-QType RemapQType(const QType& t, const TypeCloneMaps& maps) {
-  QType out = t;
-  if (t.shape != nullptr) {
-    out.shape = maps.types.at(t.shape);
-  }
-  return out;
-}
-
-std::shared_ptr<FnSig> CloneFnSig(const std::shared_ptr<FnSig>& sig,
-                                  TypeCloneMaps* maps) {
-  if (sig == nullptr) {
-    return nullptr;
-  }
-  auto it = maps->sigs.find(sig.get());
-  if (it != maps->sigs.end()) {
-    return it->second;
-  }
-  auto out = std::make_shared<FnSig>();
-  out->ret = RemapQType(sig->ret, *maps);
-  for (const QType& p : sig->params) {
-    out->params.push_back(RemapQType(p, *maps));
-  }
-  maps->sigs[sig.get()] = out;
-  return out;
-}
-
-std::unique_ptr<TypeContext> TypeContext::Clone(TypeCloneMaps* maps) const {
-  auto out = std::make_unique<TypeContext>();
-  // The constructor interned the builtins; map them to their counterparts.
-  maps->types[void_] = out->void_;
-  maps->types[int_] = out->int_;
-  maps->types[char_] = out->char_;
-  maps->types[float_] = out->float_;
-
-  // Struct shells first: type nodes point at StructInfo, and a struct's
-  // fields may reference types interned after the struct type itself
-  // (self-referential structs), so fields are filled in last.
-  for (const auto& s : structs_) {
-    auto ns = std::make_unique<StructInfo>();
-    ns->name = s->name;
-    ns->size = s->size;
-    ns->align = s->align;
-    ns->defined = s->defined;
-    maps->structs[s.get()] = ns.get();
-    out->struct_by_name_[ns->name] = ns.get();
-    out->structs_.push_back(std::move(ns));
-  }
-
-  // Type nodes in creation order: elem/sig operands always precede their
-  // users (interning builds bottom-up), so every referenced node is mapped.
-  for (const auto& t : types_) {
-    if (maps->types.count(t.get()) != 0) {
-      continue;  // builtin, already mapped
-    }
-    auto nt = std::make_unique<Type>();
-    nt->kind = t->kind;
-    nt->array_len = t->array_len;
-    if (t->elem != nullptr) {
-      nt->elem = maps->types.at(t->elem);
-    }
-    if (t->struct_info != nullptr) {
-      nt->struct_info = maps->structs.at(t->struct_info);
-    }
-    nt->fn_sig = CloneFnSig(t->fn_sig, maps);
-    maps->types[t.get()] = nt.get();
-    out->types_.push_back(std::move(nt));
-  }
-
-  // Rebuild interning caches over the new pointers so the clone deduplicates
-  // against its own nodes instead of re-interning fresh duplicates.
-  for (const auto& [elem, ptr] : pointer_cache_) {
-    out->pointer_cache_[maps->types.at(elem)] = maps->types.at(ptr);
-  }
-  for (const auto& [key, arr] : array_cache_) {
-    out->array_cache_[{maps->types.at(key.first), key.second}] =
-        maps->types.at(arr);
-  }
-
-  // Now every type exists: fill in struct fields with remapped QTypes.
-  for (size_t i = 0; i < structs_.size(); ++i) {
-    StructInfo* ns = maps->structs.at(structs_[i].get());
-    for (const StructField& f : structs_[i]->fields) {
-      ns->fields.push_back({f.name, RemapQType(f.type, *maps), f.offset});
-    }
-  }
-  return out;
-}
-
 std::string TypeContext::ToString(const Type* t) const {
   std::ostringstream os;
   switch (t->kind) {

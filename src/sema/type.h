@@ -16,7 +16,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace confllvm {
@@ -110,16 +109,6 @@ struct StructInfo {
   }
 };
 
-// Pointer correspondences recorded by TypeContext::Clone: original node ->
-// clone. Shapes are interned by pointer identity, so everything that stores a
-// `const Type*` / `StructInfo*` / `FnSig` (QTypes, symbols, expr side tables)
-// must be remapped through these when a checked program is deep-copied.
-struct TypeCloneMaps {
-  std::unordered_map<const Type*, const Type*> types;
-  std::unordered_map<const StructInfo*, StructInfo*> structs;
-  std::unordered_map<const FnSig*, std::shared_ptr<FnSig>> sigs;
-};
-
 // Owns and interns type shapes. One per compilation.
 class TypeContext {
  public:
@@ -150,13 +139,6 @@ class TypeContext {
   std::string ToString(const Type* t) const;
   std::string ToString(const QType& t) const;
 
-  // Deep-copies the context: every Type node, StructInfo, and reachable
-  // FnSig is duplicated and the interning caches are rebuilt over the new
-  // pointers, so the clone interns independently of the original. `maps`
-  // receives the correspondences for remapping QTypes held outside the
-  // context.
-  std::unique_ptr<TypeContext> Clone(TypeCloneMaps* maps) const;
-
  private:
   const Type* Intern(Type t);
 
@@ -170,16 +152,6 @@ class TypeContext {
   const Type* char_;
   const Type* float_;
 };
-
-// Rewrites a QType's shape pointer through `maps` (qualifier terms are
-// values and copy as-is). Null shapes pass through unchanged.
-QType RemapQType(const QType& t, const TypeCloneMaps& maps);
-
-// Deep-copies a signature, remapping its QTypes and deduplicating through
-// `maps->sigs` so aliasing (the same FnSig shared by a type and a symbol)
-// survives the clone. Null stays null.
-std::shared_ptr<FnSig> CloneFnSig(const std::shared_ptr<FnSig>& sig,
-                                  TypeCloneMaps* maps);
 
 }  // namespace confllvm
 

@@ -1,5 +1,7 @@
 #include "src/service/scheduler.h"
 
+#include "src/support/parallel.h"
+
 namespace confllvm {
 
 Json ServeScheduler::Stats::ToJson() const {
@@ -14,7 +16,11 @@ Json ServeScheduler::Stats::ToJson() const {
   return j;
 }
 
-ServeScheduler::ServeScheduler(Options opts) : opts_(opts) {}
+ServeScheduler::ServeScheduler(Options opts)
+    : opts_([&opts] {
+        opts.num_workers = ResolveWorkerCount(opts.num_workers);
+        return opts;
+      }()) {}
 
 ServeScheduler::~ServeScheduler() { Stop(); }
 
@@ -24,15 +30,8 @@ void ServeScheduler::Start() {
     return;
   }
   started_ = true;
-  unsigned n = opts_.num_workers;
-  if (n == 0) {
-    n = std::thread::hardware_concurrency();
-    if (n == 0) {
-      n = 1;
-    }
-  }
-  workers_.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
+  workers_.reserve(opts_.num_workers);
+  for (unsigned i = 0; i < opts_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }

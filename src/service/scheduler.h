@@ -77,6 +77,8 @@ class ServeScheduler {
   Admit Submit(const std::string& client, std::function<void()> task);
 
   Stats stats() const;
+  // The options as resolved at construction: `num_workers` is the number of
+  // workers Start runs (ResolveWorkerCount), never 0.
   const Options& options() const { return opts_; }
 
  private:

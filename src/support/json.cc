@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <unordered_map>
 
 namespace confllvm {
 
@@ -223,9 +224,11 @@ void DumpTo(const Json& j, std::string* out) {
   }
 }
 
+}  // namespace
+
 // ---- Parser ----
 
-class Parser {
+class Json::Parser {
  public:
   Parser(const std::string& text, std::string* err) : t_(text), err_(err) {}
 
@@ -420,6 +423,11 @@ class Parser {
       ++pos_;
       return true;
     }
+    // A repeated key keeps its first position and takes the last value, as
+    // with Set. The keys are indexed locally, so an untrusted frame parses in
+    // time linear in its member count.
+    std::vector<std::pair<std::string, Json>>& members = out->obj_;
+    std::unordered_map<std::string, size_t> index;
     while (true) {
       SkipWs();
       if (pos_ >= t_.size() || t_[pos_] != '"') return Fail("expected key");
@@ -429,7 +437,12 @@ class Parser {
       if (pos_ >= t_.size() || t_[pos_++] != ':') return Fail("expected ':'");
       Json v;
       if (!ParseValue(&v, depth + 1)) return false;
-      out->Set(key, std::move(v));
+      const auto [it, fresh] = index.emplace(key, members.size());
+      if (fresh) {
+        members.emplace_back(std::move(key), std::move(v));
+      } else {
+        members[it->second].second = std::move(v);
+      }
       SkipWs();
       if (pos_ >= t_.size()) return Fail("unterminated object");
       const char c = t_[pos_++];
@@ -442,8 +455,6 @@ class Parser {
   std::string* err_;
   size_t pos_ = 0;
 };
-
-}  // namespace
 
 std::string Json::Dump() const {
   std::string out;

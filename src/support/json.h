@@ -79,6 +79,8 @@ class Json {
   static bool Parse(const std::string& text, Json* out, std::string* err);
 
  private:
+  class Parser;  // json.cc; fills obj_ directly, see ParseObject
+
   Kind kind_ = Kind::kNull;
   bool b_ = false;
   uint64_t u_ = 0;

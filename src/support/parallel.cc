@@ -7,11 +7,15 @@
 
 namespace confllvm {
 
-void ParallelFor(size_t count, unsigned num_workers,
-                 const std::function<void(size_t)>& fn) {
+unsigned ResolveWorkerCount(unsigned num_workers) {
   const unsigned requested =
       num_workers != 0 ? num_workers : std::thread::hardware_concurrency();
-  const size_t n = std::min<size_t>(std::max(requested, 1u), count);
+  return std::max(requested, 1u);
+}
+
+void ParallelFor(size_t count, unsigned num_workers,
+                 const std::function<void(size_t)>& fn) {
+  const size_t n = std::min<size_t>(ResolveWorkerCount(num_workers), count);
   if (n <= 1) {
     for (size_t i = 0; i < count; ++i) {
       fn(i);

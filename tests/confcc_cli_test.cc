@@ -5,8 +5,9 @@
 // nonzero with a one-line diagnostic, injected
 // chaos never changes emitted bytes, and the injector's hit-count report
 // lands where --inject-report points. The confccd daemon's numeric flags
-// are checked the same way against its real binary (CONFCCD_PATH), and so is
-// its SIGTERM drain: stats sinks written, exit 0.
+// are checked the same way against its real binary (CONFCCD_PATH), and so are
+// its startup line's worker count and its SIGTERM drain: stats sinks
+// written, exit 0.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -19,6 +20,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/support/json.h"
@@ -371,6 +373,25 @@ TEST(ConfccCli, ConnectToMissingDaemonFailsWithOneLine) {
   EXPECT_NE(r.output.find("cannot connect to daemon"), std::string::npos)
       << r.output;
   EXPECT_EQ(std::count(r.output.begin(), r.output.end(), '\n'), 1) << r.output;
+}
+
+// Without --workers the daemon runs one worker per hardware thread, and its
+// startup line reports that count rather than the 0 it was given.
+TEST(ConfccdCli, StartupLineReportsTheWorkersItStarts) {
+  TempDir dir;
+  const std::string log = dir.File("confccd.log");
+  const auto r = RunShell(
+      std::string("timeout 20 ") + CONFCCD_PATH + " --socket=" +
+      dir.File("d.sock") + " >" + log + " 2>&1 & pid=$!; "
+      "for i in $(seq 1 200); do grep -q 'serving on' " + log +
+      " && break; sleep 0.05; done; kill -TERM $pid; wait $pid; "
+      "echo daemon=$?");
+  const std::string out = ReadFile(log);
+  EXPECT_NE(r.output.find("daemon=0\n"), std::string::npos) << r.output << out;
+  const unsigned want = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_NE(out.find("(workers=" + std::to_string(want) + ","),
+            std::string::npos)
+      << out;
 }
 
 // SIGTERM drains the daemon: after serving one `confcc --connect` run it

@@ -1,9 +1,11 @@
 // Unit tests for the lower-level modules: lexer, parser, sema/qualifier
 // inference, IR optimizations, liveness, ISA encode/decode (property),
-// loader magic selection, allocator, VM memory/segmentation semantics, and
-// the member names of the stats documents.
+// loader magic selection, allocator, VM memory/segmentation semantics, the
+// member names of the stats documents, and the JSON parser's cost and
+// repeated-key rule.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -651,6 +653,43 @@ TEST(StatsDocuments, MemberNamesAreStable) {
   expect_stable(report, {"seed", "sites"});
   ASSERT_EQ(report.Find("sites")->items().size(), 1u);
   expect_stable(report.Find("sites")->items()[0], {"site", "hits", "fired"});
+}
+
+// ---- json ----
+
+// confccd parses untrusted frames of up to 16 MiB: an object's members must
+// cost linear time, not a scan of every earlier member per insert. The last
+// member repeats an early key, which keeps its position and takes the value.
+TEST(Json, ParseIsLinearInObjectMemberCount) {
+  constexpr size_t kMembers = 100000;
+  std::string text = "{";
+  for (size_t i = 0; i < kMembers; ++i) {
+    text += (i == 0 ? "\"k" : ",\"k") + std::to_string(i) + "\":" +
+            std::to_string(i);
+  }
+  text += ",\"k5\":\"last\"}";
+  Json doc;
+  std::string err;
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(Json::Parse(text, &doc, &err)) << err;
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  EXPECT_LT(seconds, 2.0);
+  ASSERT_EQ(doc.members().size(), kMembers);
+  EXPECT_EQ(doc.members().back().first, "k99999");
+  EXPECT_EQ(doc.GetUInt("k12345"), 12345u);
+  EXPECT_EQ(doc.members()[5].first, "k5");
+  EXPECT_EQ(doc.members()[5].second.AsString(), "last");
+}
+
+// A repeated key keeps its first position and takes the last value, as Set
+// does.
+TEST(Json, RepeatedKeyKeepsFirstPositionAndLastValue) {
+  Json doc;
+  std::string err;
+  ASSERT_TRUE(Json::Parse(R"({"a":1,"b":2,"a":3})", &doc, &err)) << err;
+  EXPECT_EQ(doc.Dump(), R"({"a":3,"b":2})");
 }
 
 }  // namespace

@@ -13,7 +13,7 @@ namespace {
 // The disk tier is best-effort by contract, and two of its three call sites
 // are delicate: Acquire holds an in-flight producer registration across the
 // disk read (an escaping exception would strand every waiter on that key
-// forever — the caller's ProducerGuard is only installed after Acquire
+// forever — RestoreOrProduce only takes over the registration once Acquire
 // returns), and Put runs after the memory publish (an escaping exception
 // would crash a compile that already succeeded). The tier catches its own
 // failure modes internally; these wrappers are the belt-and-braces layer

@@ -12,12 +12,12 @@
 // one cached front end serves every invocation that hits it; the Binary and
 // the LoadedProgram are copied into each restoring invocation.
 //
-// Concurrency: all operations are thread-safe. Lookups are *single-flight* —
-// when several batch workers miss on the same key simultaneously, exactly
-// one becomes the producer (Acquire returns null; the caller must Put or
-// Abandon) while the rest block until the artifact lands. That is what
-// guarantees "Parse/Sema/IrGen run once per source" even though all eight
-// preset jobs start at the same instant.
+// Concurrency: all operations are thread-safe. Lookups are *single-flight*
+// (RestoreOrProduce) — when several batch workers miss on the same key
+// simultaneously, exactly one becomes the producer and computes while the
+// rest block until the artifact lands. That is what guarantees
+// "Parse/Sema/IrGen run once per source" even though all eight preset jobs
+// start at the same instant.
 //
 // Eviction: least-recently-used under an optional byte cap. Entries store
 // rough byte estimates; readers holding a shared_ptr keep an evicted
@@ -50,6 +50,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -157,6 +158,10 @@ struct StageArtifact {
   // artifacts.
   std::shared_ptr<const std::string> source;
   size_t bytes = 0;         // rough retained-size estimate
+
+  bool ProducedFrom(const std::string& text) const {
+    return source != nullptr && *source == text;
+  }
 };
 
 class ArtifactCache {
@@ -184,6 +189,51 @@ class ArtifactCache {
   // counted). `stage` attributes the hit in the per-stage counters.
   std::shared_ptr<const StageArtifact> Probe(const std::string& key, StageId stage);
 
+  // The single-flight producer protocol, which every cached computation
+  // (the pipeline's stages, the build scheduler's link) goes through. An
+  // artifact published for `key` and produced from `source` is handed to
+  // `restore`, possibly after waiting out a concurrent producer, and the
+  // call returns true. Otherwise `compute` runs and returns the artifact to
+  // publish, or nothing when it failed. An artifact present for `key` but
+  // produced from other text is a 64-bit key collision: the slot belongs to
+  // that other input, so `compute` runs and its result is dropped. A
+  // producer's registration is published or abandoned even when `compute`
+  // throws, so no waiter blocks forever. `skip_disk` is Acquire's.
+  template <typename Restore, typename Compute>
+  bool RestoreOrProduce(const std::string& key, StageId stage,
+                        const std::string& source, Restore&& restore,
+                        Compute&& compute, bool skip_disk = false) {
+    const std::shared_ptr<const StageArtifact> hit =
+        Acquire(key, stage, skip_disk);
+    if (hit != nullptr && hit->ProducedFrom(source)) {
+      restore(*hit);
+      return true;
+    }
+    if (hit != nullptr) {
+      compute();
+      return false;
+    }
+    try {
+      std::optional<StageArtifact> artifact = compute();
+      if (artifact.has_value()) {
+        Put(key, std::move(*artifact));
+      } else {
+        Abandon(key);
+      }
+    } catch (...) {
+      Abandon(key);
+      throw;
+    }
+    return false;
+  }
+
+  // Coherent point-in-time snapshot of every counter, taken under the cache
+  // mutex. Callers that render the counters more than once (text row + JSON)
+  // must reuse one snapshot; two calls bracketing live compiles may differ.
+  CacheStats stats() const;
+  size_t max_bytes() const { return max_bytes_; }
+
+ private:
   // Single-flight lookup. Returns the artifact, blocking while another
   // thread computes it. On a true miss the caller is registered as the
   // producer and null is returned: the caller MUST follow up with Put (on
@@ -205,13 +255,6 @@ class ArtifactCache {
   // any) is promoted to producer and retries.
   void Abandon(const std::string& key);
 
-  // Coherent point-in-time snapshot of every counter, taken under the cache
-  // mutex. Callers that render the counters more than once (text row + JSON)
-  // must reuse one snapshot; two calls bracketing live compiles may differ.
-  CacheStats stats() const;
-  size_t max_bytes() const { return max_bytes_; }
-
- private:
   struct Entry {
     std::shared_ptr<const StageArtifact> artifact;  // null while in flight
     bool in_flight = false;

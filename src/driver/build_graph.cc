@@ -1,6 +1,7 @@
 #include "src/driver/build_graph.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/driver/artifact_cache.h"
 #include "src/runtime/loader.h"
@@ -324,51 +325,37 @@ LinkedBuild BuildScheduler::Run(ArtifactCache* cache) {
     bins.push_back(mo.invocation->binary.get());
   }
   std::unique_ptr<Binary> linked;
+  auto link = [&] {
+    linked = LinkBinaries(bins, &out.diags, &out.stats.link);
+    return linked != nullptr;
+  };
   if (cache != nullptr) {
     std::vector<std::string> codegen_keys;
     codegen_keys.reserve(out.modules.size());
     for (const ModuleOutcome& mo : out.modules) {
       codegen_keys.push_back(CodegenCacheKey(*mo.invocation));
     }
-    const std::string key = LinkCacheKey(codegen_keys);
     const std::string manifest = Join(codegen_keys, "\n");
-    std::shared_ptr<const StageArtifact> hit =
-        cache->Acquire(key, StageId::kLink);
-    if (hit != nullptr && hit->binary != nullptr && hit->source != nullptr &&
-        *hit->source == manifest) {
-      linked = std::make_unique<Binary>(*hit->binary);
-      out.stats.link = hit->link;
-      out.stats.link_cached = true;
-    } else if (hit != nullptr) {
-      // Key collision (artifact present, manifest differs): link cold. No
-      // producer registration is held, so nothing to publish or abandon.
-      linked = LinkBinaries(bins, &out.diags, &out.stats.link);
-    } else {
-      // Producer for this key: must Put or Abandon, even on unwind.
-      bool settled = false;
-      try {
-        linked = LinkBinaries(bins, &out.diags, &out.stats.link);
-        if (linked != nullptr) {
+    out.stats.link_cached = cache->RestoreOrProduce(
+        LinkCacheKey(codegen_keys), StageId::kLink, manifest,
+        [&](const StageArtifact& hit) {
+          linked = std::make_unique<Binary>(*hit.binary);
+          out.stats.link = hit.link;
+        },
+        [&]() -> std::optional<StageArtifact> {
+          if (!link()) {
+            return std::nullopt;
+          }
           StageArtifact a;
           a.stage = StageId::kLink;
           a.binary = std::make_shared<const Binary>(*linked);
           a.link = out.stats.link;
           a.source = std::make_shared<const std::string>(manifest);
           a.bytes = ApproxBytes(*a.binary) + manifest.size();
-          cache->Put(key, std::move(a));
-        } else {
-          cache->Abandon(key);
-        }
-        settled = true;
-      } catch (...) {
-        if (!settled) {
-          cache->Abandon(key);
-        }
-        throw;
-      }
-    }
+          return a;
+        });
   } else {
-    linked = LinkBinaries(bins, &out.diags, &out.stats.link);
+    link();
   }
   if (linked == nullptr) {
     return out;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -532,7 +533,7 @@ bool PassManager::Run(CompilerInvocation* inv) const {
         probed_missed.push_back(key);
         continue;
       }
-      if (artifact->source != nullptr && *artifact->source != inv->source()) {
+      if (!artifact->ProducedFrom(inv->source())) {
         continue;  // 64-bit key collision: never restore a foreign program
       }
       const auto t0 = std::chrono::steady_clock::now();
@@ -581,11 +582,11 @@ bool PassManager::Run(CompilerInvocation* inv) const {
 
     const std::string key =
         cache != nullptr ? stage.CacheKey(*inv) : std::string();
-    bool stage_ok;
+    bool stage_ok = true;  // a restore leaves it set
     // Failure isolation: a throwing stage (bad_alloc, a compiler bug, an
     // injected pipeline.<stage> fault) fails *this* invocation with a
     // diagnostic instead of propagating out of the batch worker and
-    // terminating the process. The ProducerGuard below abandons any cache
+    // terminating the process. RestoreOrProduce abandons any cache
     // registration during the unwind, so waiters on the key are released.
     // Test hook: pipeline.stall.<stage> simulates slow stage *compute* — it
     // fires only on the paths that actually run the stage, never on a cache
@@ -596,7 +597,8 @@ bool PassManager::Run(CompilerInvocation* inv) const {
           InjectFault(std::string("pipeline.stall.") + stage.name())) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
       }
-      return stage.Run(inv);
+      stage_ok = stage.Run(inv);
+      return stage_ok && !inv->diags().HasErrors();
     };
     try {
       if (FaultInjector::Instance().enabled()) {
@@ -607,43 +609,23 @@ bool PassManager::Run(CompilerInvocation* inv) const {
       }
       if (!key.empty()) {
         // Single-flight: either restore a published artifact (possibly after
-        // waiting out a concurrent producer) or become the producer and
-        // publish what this run computes.
+        // waiting out a concurrent producer) or run the stage and publish
+        // what it computes.
         const bool probe_disk_missed =
             std::find(probed_missed.begin(), probed_missed.end(), key) !=
             probed_missed.end();
-        auto artifact = cache->Acquire(key, stage.id(), probe_disk_missed);
-        if (artifact != nullptr && artifact->source != nullptr &&
-            *artifact->source != inv->source()) {
-          // Key collision with a different source: the slot belongs to the
-          // other program, so run uncached rather than restore or republish.
-          stage_ok = run_stage();
-        } else if (artifact != nullptr) {
-          Restore(inv, *artifact, diag_base);
-          s.cached = true;
-          stage_ok = true;
-        } else {
-          // Producer: the registration MUST be resolved even if Run or the
-          // snapshot throws (e.g. bad_alloc) — otherwise every waiter
-          // on this key blocks forever. The guard abandons on any unwind.
-          struct ProducerGuard {
-            ArtifactCache* cache;
-            const std::string& key;
-            bool resolved = false;
-            ~ProducerGuard() {
-              if (!resolved) {
-                cache->Abandon(key);
+        s.cached = cache->RestoreOrProduce(
+            key, stage.id(), inv->source(),
+            [&](const StageArtifact& a) { Restore(inv, a, diag_base); },
+            [&]() -> std::optional<StageArtifact> {
+              if (!run_stage()) {
+                return std::nullopt;
               }
-            }
-          } guard{cache, key};
-          stage_ok = run_stage();
-          if (stage_ok && !inv->diags().HasErrors()) {
-            cache->Put(key, Snapshot(*inv, stage.id(), diag_base));
-            guard.resolved = true;
-          }
-        }
+              return Snapshot(*inv, stage.id(), diag_base);
+            },
+            probe_disk_missed);
       } else {
-        stage_ok = run_stage();
+        run_stage();
       }
     } catch (const std::exception& e) {
       inv->diags().Error({}, Fmt("internal error in stage %s: %s",
@@ -705,14 +687,14 @@ bool WantsVerify(const BuildConfig& config) {
          config.codegen.separate_stacks;
 }
 
-std::vector<BatchJob> PresetSweepJobs(const std::string& source, bool verify) {
+std::vector<BatchJob> PresetSweepJobs(const std::string& source, bool verify,
+                                      bool all_private) {
   std::vector<BatchJob> jobs;
   for (const BuildPreset p : kAllBuildPresets) {
     BatchJob job;
     job.label = PresetName(p);
     job.source = source;
-    job.config = BuildConfig::For(p);
-    job.config.whole_program = true;  // sweep compiles are single-module
+    job.config = BuildConfig::ForWholeProgram(p, all_private);
     job.verify = verify && WantsVerify(job.config);
     jobs.push_back(std::move(job));
   }

@@ -291,15 +291,17 @@ std::vector<BatchOutcome> CompileBatch(const std::vector<BatchJob>& jobs,
 // ConfLLVM ABI with a bounds scheme and separate stacks. Base-like presets,
 // the check-free ablations, and the single-stack OurMPX-Sep ablation
 // (private data on the public stack by design) are outside the verifier's
-// threat model. Shared by PresetSweepJobs and the confcc sweep so the CI
-// path and the tested path can never gate differently.
+// threat model. Shared by every sweep and both front doors so no two paths
+// can gate differently.
 bool WantsVerify(const BuildConfig& config);
 
 // One BatchJob per BuildPreset for `source`, labelled with PresetName — the
-// §7.1/§7.2 build-configuration sweep. `verify` requests ConfVerify for
-// every preset satisfying WantsVerify.
+// §7.1/§7.2 build-configuration sweep (confcc --preset=all), each configured
+// by BuildConfig::ForWholeProgram. `verify` requests ConfVerify for every
+// preset satisfying WantsVerify.
 std::vector<BatchJob> PresetSweepJobs(const std::string& source,
-                                      bool verify = false);
+                                      bool verify = false,
+                                      bool all_private = false);
 
 }  // namespace confllvm
 

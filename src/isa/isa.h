@@ -39,6 +39,7 @@ namespace confllvm {
 // Integer register numbers.
 inline constexpr uint8_t kRegRet = 0;          // r0: return value
 inline constexpr uint8_t kRegArg0 = 1;         // r1..r4: arguments
+inline constexpr uint8_t kNumArgRegs = 4;
 inline constexpr uint8_t kRegScratch0 = 13;    // r13: instrumentation scratch
 inline constexpr uint8_t kRegScratch1 = 14;    // r14: instrumentation scratch
 inline constexpr uint8_t kRegSp = 15;          // r15: rsp

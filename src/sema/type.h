@@ -140,8 +140,6 @@ class TypeContext {
   std::string ToString(const QType& t) const;
 
  private:
-  const Type* Intern(Type t);
-
   std::vector<std::unique_ptr<Type>> types_;
   std::vector<std::unique_ptr<StructInfo>> structs_;
   std::map<std::string, StructInfo*> struct_by_name_;

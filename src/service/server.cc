@@ -13,6 +13,7 @@
 #include "src/driver/confcc.h"
 #include "src/driver/pipeline.h"
 #include "src/isa/binary.h"
+#include "src/isa/isa.h"
 #include "src/support/fault_injection.h"
 #include "src/support/strings.h"
 #include "src/vm/vm.h"
@@ -34,17 +35,13 @@ Json StageRows(const PipelineStats& ps) {
   return rows;
 }
 
-Json ErrorResponse(const std::string& msg) {
+// {"status": status}, plus the `error` message when one is given.
+Json Response(const char* status, const std::string& error = "") {
   Json resp = Json::Object();
-  resp.Set("status", Json::Str("error"));
-  resp.Set("error", Json::Str(msg));
-  return resp;
-}
-
-Json RetryResponse(const std::string& msg) {
-  Json resp = Json::Object();
-  resp.Set("status", Json::Str("retry"));
-  resp.Set("error", Json::Str(msg));
+  resp.Set("status", Json::Str(status));
+  if (!error.empty()) {
+    resp.Set("error", Json::Str(error));
+  }
   return resp;
 }
 
@@ -190,6 +187,11 @@ ConfccdServer::ServerStats ConfccdServer::server_stats() const {
   return stats_;
 }
 
+void ConfccdServer::Count(uint64_t ServerStats::*counter) {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  ++(stats_.*counter);
+}
+
 void ConfccdServer::AcceptLoop() {
   while (running_.load()) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
@@ -206,8 +208,7 @@ void ConfccdServer::AcceptLoop() {
     if (InjectFault("service.accept")) {
       // Chaos: the connection is dropped on the floor right after accept —
       // the client sees ECONNRESET/EOF and retries against a healthy daemon.
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.connections_dropped_inject;
+      Count(&ServerStats::connections_dropped_inject);
       ::close(fd);
       continue;
     }
@@ -216,10 +217,7 @@ void ConfccdServer::AcceptLoop() {
     conn->default_client =
         StrFormat("conn-%llu", static_cast<unsigned long long>(
                                    next_conn_id_.fetch_add(1)));
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.connections_accepted;
-    }
+    Count(&ServerStats::connections_accepted);
     ReapFinishedReaders();
     std::lock_guard<std::mutex> lock(conns_mu_);
     conns_.push_back(conn);
@@ -257,8 +255,7 @@ void ConfccdServer::SendResponse(const std::shared_ptr<Connection>& conn,
     // Peer vanished (killed client): the response is dropped, nothing else
     // in the daemon is affected.
     conn->open.store(false);
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.responses_dropped;
+    Count(&ServerStats::responses_dropped);
   }
 }
 
@@ -270,8 +267,7 @@ void ConfccdServer::ReaderLoop(std::shared_ptr<Connection> conn) {
       // A clean EOF between frames is the normal goodbye; a torn or
       // oversized frame is counted. Either way this connection is done.
       if (fr == FrameRead::kBad && conn->open.load() && running_.load()) {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.bad_frames;
+        Count(&ServerStats::bad_frames);
       }
       break;
     }
@@ -279,10 +275,7 @@ void ConfccdServer::ReaderLoop(std::shared_ptr<Connection> conn) {
       // Chaos: sever the connection mid-stream, as if the kernel returned
       // ECONNRESET. Any in-flight work for this peer completes and its
       // response is dropped at send time.
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.injected_read_faults;
-      }
+      Count(&ServerStats::injected_read_faults);
       break;
     }
 
@@ -291,19 +284,13 @@ void ConfccdServer::ReaderLoop(std::shared_ptr<Connection> conn) {
     if (!Json::Parse(payload, &req, &perr) || !req.is_object()) {
       // A well-framed but malformed request fails that request only; the
       // connection (and any pipelined frames behind it) lives on.
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.bad_requests;
-      }
-      Json resp = ErrorResponse(perr.empty() ? "request is not a JSON object"
-                                             : "bad JSON: " + perr);
-      SendResponse(conn, resp);
+      Count(&ServerStats::bad_requests);
+      SendResponse(conn, Response("error", perr.empty()
+                                               ? "request is not a JSON object"
+                                               : "bad JSON: " + perr));
       continue;
     }
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.requests;
-    }
+    Count(&ServerStats::requests);
 
     const std::string verb = req.GetString("verb");
     if (verb == "compile" || verb == "link" || verb == "execute") {
@@ -313,18 +300,15 @@ void ConfccdServer::ReaderLoop(std::shared_ptr<Connection> conn) {
         if (InjectFault("service.dispatch")) {
           // Chaos: a dispatched request fails transiently. Retryable by
           // contract — the work was never attempted, the cache untouched.
-          {
-            std::lock_guard<std::mutex> lock(stats_mu_);
-            ++stats_.injected_dispatch_faults;
-          }
-          resp = RetryResponse("injected dispatch fault");
+          Count(&ServerStats::injected_dispatch_faults);
+          resp = Response("retry", "injected dispatch fault");
         } else {
           try {
             resp = Handle(req);
           } catch (const std::exception& e) {
-            resp = ErrorResponse(StrFormat("internal error: %s", e.what()));
+            resp = Response("error", StrFormat("internal error: %s", e.what()));
           } catch (...) {
-            resp = ErrorResponse("internal error");
+            resp = Response("error", "internal error");
           }
         }
         EchoId(req, &resp);
@@ -335,13 +319,13 @@ void ConfccdServer::ReaderLoop(std::shared_ptr<Connection> conn) {
         Json resp;
         switch (admit) {
           case ServeScheduler::Admit::kQueueFull:
-            resp = RetryResponse("server queue full");
+            resp = Response("retry", "server queue full");
             break;
           case ServeScheduler::Admit::kClientSaturated:
-            resp = RetryResponse("client in-flight cap reached");
+            resp = Response("retry", "client in-flight cap reached");
             break;
           default:
-            resp = ErrorResponse("server shutting down");
+            resp = Response("error", "server shutting down");
             break;
         }
         EchoId(req, &resp);
@@ -362,10 +346,7 @@ void ConfccdServer::ReaderLoop(std::shared_ptr<Connection> conn) {
   }
   conn->open.store(false);
   ::shutdown(conn->fd, SHUT_RDWR);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.connections_closed;
-  }
+  Count(&ServerStats::connections_closed);
   // Drop this reader's registration so the fd can close as soon as any
   // in-flight worker task releases its reference, and queue the thread for
   // the next accept to join.
@@ -382,8 +363,7 @@ void ConfccdServer::ReaderLoop(std::shared_ptr<Connection> conn) {
 Json ConfccdServer::Handle(const Json& req) {
   const std::string verb = req.GetString("verb");
   if (verb == "ping") {
-    Json resp = Json::Object();
-    resp.Set("status", Json::Str("ok"));
+    Json resp = Response("ok");
     resp.Set("pong", Json::Bool(true));
     return resp;
   }
@@ -391,8 +371,7 @@ Json ConfccdServer::Handle(const Json& req) {
     return HandleStats();
   }
   if (verb == "shutdown") {
-    Json resp = Json::Object();
-    resp.Set("status", Json::Str("ok"));
+    Json resp = Response("ok");
     resp.Set("stopping", Json::Bool(true));
     return resp;
   }
@@ -405,13 +384,12 @@ Json ConfccdServer::Handle(const Json& req) {
   if (verb == "execute") {
     return HandleExecute(req);
   }
-  return ErrorResponse(verb.empty() ? "missing verb"
-                                    : "unknown verb '" + verb + "'");
+  return Response("error", verb.empty() ? "missing verb"
+                                         : "unknown verb '" + verb + "'");
 }
 
 Json ConfccdServer::HandleStats() {
-  Json resp = Json::Object();
-  resp.Set("status", Json::Str("ok"));
+  Json resp = Response("ok");
   // One coherent snapshot per tier, same discipline as confcc
   // --cache-stats: row and JSON render the same numbers.
   const CacheStats cs = cache_.stats();
@@ -422,202 +400,128 @@ Json ConfccdServer::HandleStats() {
   return resp;
 }
 
-Json ConfccdServer::HandleCompile(const Json& req) {
-  const std::string source = req.GetString("source");
-  if (source.empty()) {
-    return ErrorResponse("compile: missing source");
+Json ConfccdServer::Build(const Json& req, const Json* modules,
+                          std::unique_ptr<CompiledProgram>* out) {
+  if (modules != nullptr &&
+      (!modules->is_array() || modules->items().empty())) {
+    return Response("error", "link: missing modules");
   }
   BuildPreset preset = BuildPreset::kOurMpx;
   const std::string preset_name = req.GetString("preset");
   if (!preset_name.empty() && !ParsePresetName(preset_name, &preset)) {
-    return ErrorResponse("unknown preset '" + preset_name + "'");
+    return Response("error", "unknown preset '" + preset_name + "'");
   }
   const BuildConfig config =
       BuildConfig::ForWholeProgram(preset, req.GetBool("all_private"));
   const bool verify = req.GetBool("verify") && WantsVerify(config);
 
-  CompilerInvocation inv(source, config);
-  inv.set_cache(&cache_);
-  if (opts_.compile_deadline_ms != 0) {
-    inv.set_deadline_ms(opts_.compile_deadline_ms);
-  }
-  const bool ok = RunStandardPipeline(&inv, verify);
-
-  Json resp = Json::Object();
-  resp.Set("status", Json::Str(ok ? "ok" : "error"));
-  if (!ok) {
-    resp.Set("error", Json::Str("compilation failed"));
-  }
-  resp.Set("diagnostics", Json::Str(inv.diags().ToString()));
-  resp.Set("stages", StageRows(inv.stats()));
-  resp.Set("total_ms", Json::Double(inv.stats().total_ms));
-  if (ok) {
-    auto compiled = inv.TakeProgram();
-    resp.Set("code_words",
-             Json::UInt(compiled->prog->binary.code.size()));
-    resp.Set("functions",
-             Json::UInt(compiled->prog->binary.functions.size()));
-    if (req.GetBool("want_bin")) {
-      resp.Set("bin_hex",
-               Json::Str(HexEncode(SerializeBinary(compiled->prog->binary))));
+  Json resp;
+  if (modules != nullptr) {
+    DiagEngine gdiags;
+    BuildGraph graph;
+    for (const Json& m : modules->items()) {
+      const std::string name = m.GetString("name");
+      const std::string source = m.GetString("source");
+      if (name.empty() || source.empty()) {
+        return Response("error", "link: every module needs name and source");
+      }
+      if (!graph.AddModule(name, source, &gdiags)) {
+        return Response("error", "link: " + gdiags.ToString());
+      }
     }
+    if (!graph.Finalize(config, &gdiags, &cache_, opts_.build_jobs)) {
+      resp = Response("error", "link: graph finalize failed");
+      resp.Set("diagnostics", Json::Str(gdiags.ToString()));
+      return resp;
+    }
+    BuildScheduler::Options sopts;
+    sopts.num_workers = opts_.build_jobs;
+    sopts.verify = verify;
+    sopts.deadline_ms = opts_.compile_deadline_ms;
+    LinkedBuild build = BuildScheduler(&graph, config, sopts).Run(&cache_);
+    resp = build.ok ? Response("ok") : Response("error", "link failed");
+    // A failed module's own errors are in build.diags, under its name.
+    resp.Set("diagnostics", Json::Str(build.diags.ToString()));
+    resp.Set("graph_json", Json::Str(build.stats.ToJson().Dump()));
+    resp.Set("link_cached", Json::Bool(build.stats.link_cached));
+    if (build.ok) {
+      *out = std::make_unique<CompiledProgram>();
+      (*out)->config = config;
+      (*out)->prog = std::move(build.prog);
+    }
+  } else {
+    CompilerInvocation inv(req.GetString("source"), config);
+    inv.set_cache(&cache_);
+    inv.set_deadline_ms(opts_.compile_deadline_ms);
+    const bool ok = RunStandardPipeline(&inv, verify);
+    resp = ok ? Response("ok") : Response("error", "compilation failed");
+    resp.Set("diagnostics", Json::Str(inv.diags().ToString()));
+    resp.Set("stages", StageRows(inv.stats()));
+    resp.Set("total_ms", Json::Double(inv.stats().total_ms));
+    if (ok) {
+      *out = inv.TakeProgram();
+    }
+  }
+  if (*out != nullptr && req.GetBool("want_bin")) {
+    resp.Set("bin_hex",
+             Json::Str(HexEncode(SerializeBinary((*out)->prog->binary))));
+  }
+  return resp;
+}
+
+Json ConfccdServer::HandleCompile(const Json& req) {
+  if (req.GetString("source").empty()) {
+    return Response("error", "compile: missing source");
+  }
+  std::unique_ptr<CompiledProgram> compiled;
+  Json resp = Build(req, nullptr, &compiled);
+  if (compiled != nullptr) {
+    resp.Set("code_words", Json::UInt(compiled->prog->binary.code.size()));
+    resp.Set("functions", Json::UInt(compiled->prog->binary.functions.size()));
   }
   return resp;
 }
 
 Json ConfccdServer::HandleLink(const Json& req) {
   const Json* modules = req.Find("modules");
-  if (modules == nullptr || !modules->is_array() || modules->items().empty()) {
-    return ErrorResponse("link: missing modules");
+  if (modules == nullptr) {
+    return Response("error", "link: missing modules");
   }
-  BuildPreset preset = BuildPreset::kOurMpx;
-  const std::string preset_name = req.GetString("preset");
-  if (!preset_name.empty() && !ParsePresetName(preset_name, &preset)) {
-    return ErrorResponse("unknown preset '" + preset_name + "'");
-  }
-  const BuildConfig config =
-      BuildConfig::ForWholeProgram(preset, req.GetBool("all_private"));
-
-  DiagEngine gdiags;
-  BuildGraph graph;
-  for (const Json& m : modules->items()) {
-    const std::string name = m.GetString("name");
-    const std::string source = m.GetString("source");
-    if (name.empty() || source.empty()) {
-      return ErrorResponse("link: every module needs name and source");
-    }
-    if (!graph.AddModule(name, source, &gdiags)) {
-      return ErrorResponse("link: " + gdiags.ToString());
-    }
-  }
-  if (!graph.Finalize(config, &gdiags, &cache_, opts_.build_jobs)) {
-    Json resp = ErrorResponse("link: graph finalize failed");
-    resp.Set("diagnostics", Json::Str(gdiags.ToString()));
-    return resp;
-  }
-
-  BuildScheduler::Options sopts;
-  sopts.num_workers = opts_.build_jobs;
-  sopts.verify = req.GetBool("verify") && WantsVerify(config);
-  sopts.deadline_ms = opts_.compile_deadline_ms;
-  BuildScheduler sched(&graph, config, sopts);
-  LinkedBuild build = sched.Run(&cache_);
-
-  std::string diags;
-  for (const ModuleOutcome& mo : build.modules) {
-    if (mo.invocation != nullptr &&
-        !mo.invocation->diags().diagnostics().empty()) {
-      diags += "-- module " + mo.name + " --\n";
-      diags += mo.invocation->diags().ToString();
-    }
-  }
-  diags += build.diags.ToString();
-
-  Json resp = Json::Object();
-  resp.Set("status", Json::Str(build.ok ? "ok" : "error"));
-  if (!build.ok) {
-    resp.Set("error", Json::Str("link failed"));
-  }
-  resp.Set("diagnostics", Json::Str(diags));
-  resp.Set("graph_json", Json::Str(build.stats.ToJson().Dump()));
-  resp.Set("link_cached", Json::Bool(build.stats.link_cached));
-  if (build.ok && req.GetBool("want_bin")) {
-    resp.Set("bin_hex",
-             Json::Str(HexEncode(SerializeBinary(build.prog->binary))));
-  }
-  return resp;
+  std::unique_ptr<CompiledProgram> compiled;
+  return Build(req, modules, &compiled);
 }
 
 Json ConfccdServer::HandleExecute(const Json& req) {
-  // Build the program: multi-module when `modules` is present, else single
-  // source — both through the shared cache.
+  const Json* modules = req.Find("modules");
+  if (modules == nullptr && req.GetString("source").empty()) {
+    return Response("error", "execute: missing source or modules");
+  }
   std::unique_ptr<CompiledProgram> compiled;
-  Json resp = Json::Object();
-
-  if (const Json* modules = req.Find("modules"); modules != nullptr) {
-    if (!modules->is_array() || modules->items().empty()) {
-      return ErrorResponse("link: missing modules");
-    }
-    BuildPreset preset = BuildPreset::kOurMpx;
-    const std::string preset_name = req.GetString("preset");
-    if (!preset_name.empty() && !ParsePresetName(preset_name, &preset)) {
-      return ErrorResponse("unknown preset '" + preset_name + "'");
-    }
-    const BuildConfig config =
-        BuildConfig::ForWholeProgram(preset, req.GetBool("all_private"));
-    DiagEngine gdiags;
-    BuildGraph graph;
-    for (const Json& m : modules->items()) {
-      const std::string name = m.GetString("name");
-      const std::string msource = m.GetString("source");
-      if (name.empty() || msource.empty()) {
-        return ErrorResponse("link: every module needs name and source");
-      }
-      if (!graph.AddModule(name, msource, &gdiags)) {
-        return ErrorResponse("link: " + gdiags.ToString());
-      }
-    }
-    if (!graph.Finalize(config, &gdiags, &cache_, opts_.build_jobs)) {
-      Json err = ErrorResponse("link: graph finalize failed");
-      err.Set("diagnostics", Json::Str(gdiags.ToString()));
-      return err;
-    }
-    BuildScheduler::Options sopts;
-    sopts.num_workers = opts_.build_jobs;
-    sopts.verify = req.GetBool("verify") && WantsVerify(config);
-    sopts.deadline_ms = opts_.compile_deadline_ms;
-    BuildScheduler bsched(&graph, config, sopts);
-    LinkedBuild build = bsched.Run(&cache_);
-    if (!build.ok) {
-      Json err = ErrorResponse("link failed");
-      err.Set("diagnostics", Json::Str(build.diags.ToString()));
-      return err;
-    }
-    resp.Set("link_cached", Json::Bool(build.stats.link_cached));
-    compiled = std::make_unique<CompiledProgram>();
-    compiled->config = config;
-    compiled->prog = std::move(build.prog);
-    if (req.GetBool("want_bin")) {
-      resp.Set("bin_hex",
-               Json::Str(HexEncode(SerializeBinary(compiled->prog->binary))));
-    }
-  } else {
-    const std::string source = req.GetString("source");
-    if (source.empty()) {
-      return ErrorResponse("execute: missing source or modules");
-    }
-    BuildPreset preset = BuildPreset::kOurMpx;
-    const std::string preset_name = req.GetString("preset");
-    if (!preset_name.empty() && !ParsePresetName(preset_name, &preset)) {
-      return ErrorResponse("unknown preset '" + preset_name + "'");
-    }
-    const BuildConfig config =
-        BuildConfig::ForWholeProgram(preset, req.GetBool("all_private"));
-    const bool verify = req.GetBool("verify") && WantsVerify(config);
-    CompilerInvocation inv(source, config);
-    inv.set_cache(&cache_);
-    if (opts_.compile_deadline_ms != 0) {
-      inv.set_deadline_ms(opts_.compile_deadline_ms);
-    }
-    if (!RunStandardPipeline(&inv, verify)) {
-      Json err = ErrorResponse("compilation failed");
-      err.Set("diagnostics", Json::Str(inv.diags().ToString()));
-      return err;
-    }
-    resp.Set("diagnostics", Json::Str(inv.diags().ToString()));
-    resp.Set("stages", StageRows(inv.stats()));
-    resp.Set("total_ms", Json::Double(inv.stats().total_ms));
-    compiled = inv.TakeProgram();
-    if (req.GetBool("want_bin")) {
-      resp.Set("bin_hex",
-               Json::Str(HexEncode(SerializeBinary(compiled->prog->binary))));
-    }
+  Json resp = Build(req, modules, &compiled);
+  if (compiled == nullptr) {
+    return resp;
   }
 
   VmOptions vm_opts;
   const std::string engine = req.GetString("engine");
   if (!engine.empty() && !ParseEngineName(engine, &vm_opts.engine)) {
-    return ErrorResponse("unknown engine '" + engine + "'");
+    return Response("error", "unknown engine '" + engine + "'");
+  }
+  // The ABI passes at most kNumArgRegs arguments, each one 64-bit register.
+  std::vector<uint64_t> args;
+  if (const Json* ja = req.Find("args"); ja != nullptr) {
+    const std::string bad_args = StrFormat(
+        "execute: args must be an array of at most %zu unsigned integers",
+        static_cast<size_t>(kNumArgRegs));
+    if (!ja->is_array() || ja->items().size() > kNumArgRegs) {
+      return Response("error", bad_args);
+    }
+    for (const Json& a : ja->items()) {
+      if (a.kind() != Json::Kind::kUInt) {
+        return Response("error", bad_args);
+      }
+      args.push_back(a.AsUInt());
+    }
   }
   const uint64_t tt = req.GetUInt("trace_threshold");
   if (tt != 0) {
@@ -631,18 +535,10 @@ Json ConfccdServer::HandleExecute(const Json& req) {
   }
   vm_opts.deadline_ms = deadline;
 
-  const std::string entry = req.GetString("entry", "main");
-  std::vector<uint64_t> args;
-  if (const Json* ja = req.Find("args"); ja != nullptr && ja->is_array()) {
-    for (const Json& a : ja->items()) {
-      args.push_back(a.AsUInt());
-    }
-  }
-
   auto session = MakeSessionFor(std::move(compiled), vm_opts);
-  const Vm::CallResult r = session->vm->Call(entry, args);
+  const Vm::CallResult r =
+      session->vm->Call(req.GetString("entry", "main"), args);
 
-  resp.Set("status", Json::Str("ok"));
   resp.Set("ran_ok", Json::Bool(r.ok));
   resp.Set("ret", Json::UInt(r.ret));
   resp.Set("cycles", Json::UInt(r.cycles));

@@ -116,6 +116,8 @@ class ConfccdServer {
   // Joins the readers that have left ReaderLoop, so a long-running daemon
   // holds one thread (and one stack mapping) per live connection only.
   void ReapFinishedReaders();
+  // Bumps one ServerStats counter under stats_mu_.
+  void Count(uint64_t ServerStats::*counter);
   // Sends `resp` as one frame; drops it (and marks the connection closed)
   // when the peer is gone.
   void SendResponse(const std::shared_ptr<Connection>& conn, const Json& resp);
@@ -123,6 +125,15 @@ class ConfccdServer {
   // from the shared cache (and RequestShutdown for the shutdown verb).
   Json Handle(const Json& req);
 
+  // The one build behind compile, link and execute, against the shared
+  // cache: `modules` (when non-null) through the build graph and
+  // BuildScheduler, else the request's `source` through the standard
+  // pipeline, under the request's preset and all_private. Returns the
+  // response so far: status, error, diagnostics, then stages/total_ms for a
+  // source or graph_json/link_cached for modules, and bin_hex when
+  // `want_bin` asks. On success *out holds the program.
+  Json Build(const Json& req, const Json* modules,
+             std::unique_ptr<CompiledProgram>* out);
   Json HandleCompile(const Json& req);
   Json HandleLink(const Json& req);
   Json HandleExecute(const Json& req);

@@ -159,7 +159,7 @@ void Vm::SetupThread(ThreadCtx* t, uint32_t tid, const std::string& fn,
   t->stack_lo = stack_base + kTlsSize;
   t->stack_hi = stack_base + kThreadStackSize;
   t->regs[kRegSp] = t->stack_hi - 64;
-  for (size_t i = 0; i < args.size() && i < 4; ++i) {
+  for (size_t i = 0; i < args.size() && i < kNumArgRegs; ++i) {
     t->regs[kRegArg0 + i] = args[i];
   }
   // Push the exit-stub return address.

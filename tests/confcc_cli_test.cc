@@ -236,6 +236,14 @@ TEST(ConfccCli, ArgsRejectsNegativeElement) {
       "confcc: bad --args element '-2' (expected an unsigned integer)");
 }
 
+// The ABI has four argument registers, so a fifth value could never reach
+// the guest; it used to be dropped without a word.
+TEST(ConfccCli, ArgsRejectsMoreThanFourValues) {
+  ExpectRejectedWithUsage(
+      "--args=1,2,3,4,5",
+      "confcc: bad --args '1,2,3,4,5' (expected at most 4 values)");
+}
+
 TEST(ConfccCli, InjectSeedRejectsNegativeValue) {
   ExpectRejectedWithUsage("--inject-faults=seed=-1,disk.*=p0.05",
                           "confcc: bad --inject-faults spec: bad seed '-1'");
@@ -338,9 +346,11 @@ TEST(ConfccCli, InjectedDiskChaosKeepsSweepOutputsIdenticalAndWritesReport) {
   EXPECT_NE(json.find("disk."), std::string::npos) << json;
 }
 
-// --connect hands the cache tiers to the daemon; naming a client-local
-// cache location alongside it is a contradiction confcc must refuse in one
-// line, before doing any work.
+// --connect hands the cache tiers to the daemon, and its execute response
+// carries none of the local-only outputs (trace and graph stats, stage
+// table, disassembly, VM counters). Naming a client-local cache location or
+// one of those outputs alongside it is a contradiction confcc must refuse
+// in one line, before doing any work, rather than silently drop.
 TEST(ConfccCli, ConnectConflictsWithLocalCacheFlags) {
   TempDir dir;
   const std::string src = dir.File("p.mc");
@@ -348,7 +358,11 @@ TEST(ConfccCli, ConnectConflictsWithLocalCacheFlags) {
 
   for (const std::string flag :
        {"--cache-dir=" + dir.File("cache"), std::string("--cache-bytes=4096"),
-        std::string("--incremental")}) {
+        std::string("--incremental"),
+        "--trace-stats-json=" + dir.File("ts.json"),
+        "--graph-stats-json=" + dir.File("gs.json"),
+        std::string("--time-passes"), std::string("--disasm"),
+        std::string("--stats")}) {
     SCOPED_TRACE(flag);
     const auto r =
         RunConfcc("--connect=" + dir.File("no.sock") + " " + flag + " " + src);
@@ -359,6 +373,25 @@ TEST(ConfccCli, ConnectConflictsWithLocalCacheFlags) {
     EXPECT_EQ(std::count(r.output.begin(), r.output.end(), '\n'), 1)
         << r.output;
   }
+}
+
+// A failed module's errors reach the output once, through the linked
+// build's own diagnostics (which name the module), not a second time from
+// the module's invocation.
+TEST(ConfccCli, LinkPrintsAFailedModulesErrorOnce) {
+  TempDir dir;
+  const std::string leaf = dir.File("leaf.mc");
+  const std::string app = dir.File("app.mc");
+  WriteFile(leaf, "int square(int x) { return x * undefined_name; }\n");
+  WriteFile(app, "import \"leaf\";\nint main() { return square(6); }\n");
+  const auto r = RunConfcc("--link " + leaf + " " + app);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  const std::string needle = "undeclared identifier 'undefined_name'";
+  const size_t first = r.output.find(needle);
+  ASSERT_NE(first, std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find(needle, first + 1), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("module 'leaf' failed to compile"), std::string::npos)
+      << r.output;
 }
 
 // No daemon at the socket: a one-line diagnostic and exit 1, not a hang or

@@ -12,6 +12,8 @@
 //     CacheKey chained over per-module codegen keys), and the link
 //     response's graph stats stay valid JSON for any module name;
 //   - an unknown engine or preset is an error response naming it;
+//   - every verb keeps its response members and error strings, and a
+//     failed linked build reports each module error once;
 //   - backpressure rejections are retryable `retry` responses, per-client
 //     cap before global queue cap, round-robin fairness across tenants;
 //   - a client killed mid-request costs the daemon nothing but a dropped
@@ -34,6 +36,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -459,6 +462,227 @@ TEST_F(ConfccdServiceTest, UnknownEngineAndPresetAreNamedErrors) {
     ASSERT_TRUE(cli.CallWithRetry(req, &resp, &err)) << err;
     EXPECT_EQ(resp.GetString("status"), "error");
     EXPECT_EQ(resp.GetString("error"), msg);
+  }
+  server->Stop();
+}
+
+Json Verb(const std::string& verb) {
+  Json req = Json::Object();
+  req.Set("verb", Json::Str(verb));
+  return req;
+}
+
+Json With(Json req, const std::string& key, Json value) {
+  req.Set(key, std::move(value));
+  return req;
+}
+
+// A `modules` array of (name, source) pairs; an empty name is left out.
+Json Modules(const std::vector<std::pair<std::string, std::string>>& mods) {
+  Json arr = Json::Array();
+  for (const auto& [name, source] : mods) {
+    Json m = Json::Object();
+    if (!name.empty()) {
+      m.Set("name", Json::Str(name));
+    }
+    m.Set("source", Json::Str(source));
+    arr.Append(std::move(m));
+  }
+  return arr;
+}
+
+constexpr char kLeafSrc[] = "int square(int x) { return x * x; }";
+constexpr char kAppSrc[] = "import \"leaf\";\nint main() { return square(6); }";
+constexpr char kBrokenLeafSrc[] =
+    "int square(int x) { return x * undefined_name; }";
+
+TEST_F(ConfccdServiceTest, EveryVerbKeepsItsMembersAndErrors) {
+  // One source and one two-module set through every verb: the members each
+  // response carries (at least these; a verb may gain members another verb
+  // returns for the same kind of build), the one bin_hex every verb that
+  // builds the same program returns, and every error string.
+  ConfccdServer::Options opts;
+  opts.sched.num_workers = 2;
+  auto server = StartServer(std::move(opts));
+  ConfccdClient cli;
+  std::string err;
+  ASSERT_TRUE(cli.Connect(server->options().socket_path, &err)) << err;
+
+  const Json source = Json::Str(kQuickSrc);
+  const Json modules = Modules({{"leaf", kLeafSrc}, {"app", kAppSrc}});
+  auto build = [](const char* verb, const char* input, const Json& value) {
+    return With(With(With(Verb(verb), input, value), "verify", Json::Bool(true)),
+                "want_bin", Json::Bool(true));
+  };
+  auto args = [](std::vector<Json> items) {
+    Json arr = Json::Array();
+    for (Json& a : items) {
+      arr.Append(std::move(a));
+    }
+    return arr;
+  };
+  const Json bad_preset = Json::Str("OurMagic");
+  const std::string kArgsError =
+      "execute: args must be an array of at most 4 unsigned integers";
+  const std::vector<std::string> kRan = {"status", "ran_ok", "ret", "cycles",
+                                         "instrs", "guest_stdout"};
+  auto plus = [](std::vector<std::string> a, const std::vector<std::string>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  };
+
+  struct Row {
+    std::string name;
+    Json req;
+    std::string error;  // empty: status ok
+    std::vector<std::string> members;
+  };
+  const std::vector<Row> rows = {
+      {"compile source", build("compile", "source", source), "",
+       {"status", "diagnostics", "stages", "total_ms", "code_words",
+        "functions", "bin_hex"}},
+      {"link modules", build("link", "modules", modules), "",
+       {"status", "diagnostics", "graph_json", "link_cached", "bin_hex"}},
+      {"execute source", build("execute", "source", source), "",
+       plus({"diagnostics", "stages", "total_ms", "bin_hex"}, kRan)},
+      {"execute modules", build("execute", "modules", modules), "",
+       plus({"link_cached", "bin_hex"}, kRan)},
+      {"execute source with four args",
+       With(build("execute", "source", source), "args",
+            args({Json::UInt(1), Json::UInt(2), Json::UInt(3), Json::UInt(4)})),
+       "", plus({"diagnostics", "stages", "total_ms", "bin_hex"}, kRan)},
+
+      {"compile unknown preset",
+       With(build("compile", "source", source), "preset", bad_preset),
+       "unknown preset 'OurMagic'", {"status", "error"}},
+      {"link unknown preset",
+       With(build("link", "modules", modules), "preset", bad_preset),
+       "unknown preset 'OurMagic'", {"status", "error"}},
+      {"execute source unknown preset",
+       With(build("execute", "source", source), "preset", bad_preset),
+       "unknown preset 'OurMagic'", {"status", "error"}},
+      {"execute modules unknown preset",
+       With(build("execute", "modules", modules), "preset", bad_preset),
+       "unknown preset 'OurMagic'", {"status", "error"}},
+
+      {"compile without source", Verb("compile"), "compile: missing source",
+       {"status", "error"}},
+      {"compile with only modules", build("compile", "modules", modules),
+       "compile: missing source", {"status", "error"}},
+      {"link without modules", Verb("link"), "link: missing modules",
+       {"status", "error"}},
+      {"link with only source", build("link", "source", source),
+       "link: missing modules", {"status", "error"}},
+      {"link with empty modules", build("link", "modules", Json::Array()),
+       "link: missing modules", {"status", "error"}},
+      {"execute without input", Verb("execute"),
+       "execute: missing source or modules", {"status", "error"}},
+      {"execute with empty modules", build("execute", "modules", Json::Array()),
+       "link: missing modules", {"status", "error"}},
+
+      {"link module without name",
+       build("link", "modules", Modules({{"", kLeafSrc}, {"app", kAppSrc}})),
+       "link: every module needs name and source", {"status", "error"}},
+      {"execute module without name",
+       build("execute", "modules", Modules({{"", kLeafSrc}, {"app", kAppSrc}})),
+       "link: every module needs name and source", {"status", "error"}},
+      {"link duplicate module",
+       build("link", "modules", Modules({{"leaf", kLeafSrc}, {"leaf", kLeafSrc}})),
+       "link: error: duplicate module 'leaf' in build graph\n",
+       {"status", "error"}},
+      {"link unknown import",
+       build("link", "modules", Modules({{"app", kAppSrc}})),
+       "link: graph finalize failed", {"status", "error", "diagnostics"}},
+      {"execute unknown import",
+       build("execute", "modules", Modules({{"app", kAppSrc}})),
+       "link: graph finalize failed", {"status", "error", "diagnostics"}},
+
+      {"compile failing source",
+       build("compile", "source", Json::Str("int main() { return x; }")),
+       "compilation failed",
+       {"status", "error", "diagnostics", "stages", "total_ms"}},
+      {"execute failing source",
+       build("execute", "source", Json::Str("int main() { return x; }")),
+       "compilation failed", {"status", "error", "diagnostics"}},
+      {"link failing module",
+       build("link", "modules",
+             Modules({{"leaf", kBrokenLeafSrc}, {"app", kAppSrc}})),
+       "link failed",
+       {"status", "error", "diagnostics", "graph_json", "link_cached"}},
+      {"execute failing module",
+       build("execute", "modules",
+             Modules({{"leaf", kBrokenLeafSrc}, {"app", kAppSrc}})),
+       "link failed", {"status", "error", "diagnostics"}},
+      {"link contract error",
+       build("link", "modules",
+             Modules({{"leaf", kLeafSrc},
+                       {"app", "int square(int x) { return x; }\n"
+                               "int main() { return square(6); }"}})),
+       "link failed",
+       {"status", "error", "diagnostics", "graph_json", "link_cached"}},
+
+      {"execute five args",
+       With(build("execute", "source", source), "args",
+            args({Json::UInt(1), Json::UInt(2), Json::UInt(3), Json::UInt(4),
+                  Json::UInt(5), Json::UInt(6)})),
+       kArgsError, {"status", "error"}},
+      {"execute string and negative args",
+       With(build("execute", "source", source), "args",
+            args({Json::Str("x"), Json::Int(-3)})),
+       kArgsError, {"status", "error"}},
+      {"execute args not an array",
+       With(build("execute", "source", source), "args", Json::UInt(5)),
+       kArgsError, {"status", "error"}},
+  };
+
+  std::map<std::string, Json> got;
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    Json resp;
+    ASSERT_TRUE(cli.CallWithRetry(row.req, &resp, &err)) << err;
+    EXPECT_EQ(resp.GetString("status"), row.error.empty() ? "ok" : "error")
+        << resp.GetString("error") << "\n" << resp.GetString("diagnostics");
+    EXPECT_EQ(resp.GetString("error"), row.error);
+    for (const std::string& m : row.members) {
+      EXPECT_NE(resp.Find(m), nullptr) << "missing member " << m;
+    }
+    got[row.name] = std::move(resp);
+  }
+
+  EXPECT_FALSE(got["compile source"].GetString("bin_hex").empty());
+  EXPECT_EQ(got["execute source"].GetString("bin_hex"),
+            got["compile source"].GetString("bin_hex"));
+  EXPECT_FALSE(got["link modules"].GetString("bin_hex").empty());
+  EXPECT_EQ(got["execute modules"].GetString("bin_hex"),
+            got["link modules"].GetString("bin_hex"));
+  EXPECT_EQ(got["execute source"].GetUInt("ret"), 7u);
+  EXPECT_EQ(got["execute modules"].GetUInt("ret"), 36u);
+  server->Stop();
+}
+
+TEST_F(ConfccdServiceTest, FailedLinkedBuildReportsEachModuleErrorOnce) {
+  // A failed module's errors reach the response through the linked build's
+  // own diagnostics, once, whichever verb built it.
+  ConfccdServer::Options opts;
+  opts.sched.num_workers = 1;
+  auto server = StartServer(std::move(opts));
+  ConfccdClient cli;
+  std::string err;
+  ASSERT_TRUE(cli.Connect(server->options().socket_path, &err)) << err;
+  const std::string needle = "undeclared identifier 'undefined_name'";
+  for (const char* verb : {"link", "execute"}) {
+    SCOPED_TRACE(verb);
+    Json resp;
+    ASSERT_TRUE(cli.CallWithRetry(
+        With(Verb(verb), "modules",
+             Modules({{"leaf", kBrokenLeafSrc}, {"app", kAppSrc}})),
+        &resp, &err))
+        << err;
+    EXPECT_EQ(resp.GetString("error"), "link failed");
+    const std::string diags = resp.GetString("diagnostics");
+    const size_t first = diags.find(needle);
+    ASSERT_NE(first, std::string::npos) << diags;
+    EXPECT_EQ(diags.find(needle, first + 1), std::string::npos) << diags;
   }
   server->Stop();
 }

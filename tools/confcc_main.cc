@@ -43,10 +43,11 @@
 // fault instead of hanging confcc. Any uncaught internal error exits 1 with
 // a one-line `confcc: fatal:` diagnostic.
 #include <cstdio>
-#include <cstring>
-#include <exception>
 #include <fstream>
+#include <functional>
+#include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "src/driver/artifact_cache.h"
 #include "src/driver/build_graph.h"
@@ -60,6 +61,7 @@
 #include "src/support/strings.h"
 #include "src/vm/trace_tier.h"
 #include "src/verifier/verifier.h"
+#include "tools/cli.h"
 
 using namespace confllvm;
 
@@ -87,17 +89,6 @@ int Usage() {
   return 2;
 }
 
-// Parses a numeric flag's value; a malformed one gets a one-line
-// diagnostic, and the caller exits with the usage text.
-bool ParseFlagU64(const char* flag, const std::string& value, uint64_t* out) {
-  if (ParseU64(value, out)) {
-    return true;
-  }
-  fprintf(stderr, "confcc: bad %s '%s' (expected an unsigned integer)\n",
-          flag, value.c_str());
-  return false;
-}
-
 struct Options {
   BuildPreset preset = BuildPreset::kOurMpx;
   bool sweep = false;  // --preset=all
@@ -123,8 +114,7 @@ struct Options {
   bool link = false;          // multi-module build-graph mode
   std::string graph_stats_json;  // write BuildGraphStats JSON here (--link)
   std::string connect;        // --connect=SOCK: forward verbs to a confccd
-  std::string file;
-  std::vector<std::string> files;  // all positional args (--link modules)
+  std::vector<std::string> files;  // positional args (--link: the modules)
 
   // Byte caps / stats outputs only make sense with a cache, so every cache
   // flag implies one.
@@ -134,35 +124,21 @@ struct Options {
   }
 };
 
-// Builds the cache the options ask for, attaching the disk tier when
-// --cache-dir was given. Null when no cache flag is set; also null (after a
+// Builds the cache the options ask for into *cache, attaching the disk tier
+// when --cache-dir was given; null when no cache flag is set. False (after a
 // diagnostic) when the disk tier cannot be attached — a broken cache dir is
 // an explicit error, not a silent cold compile.
-std::unique_ptr<ArtifactCache> MakeCache(const Options& opt, bool* error) {
-  *error = false;
+bool MakeCache(const Options& opt, std::unique_ptr<ArtifactCache>* cache) {
   if (!opt.UseCache()) {
-    return nullptr;
+    return true;
   }
-  auto cache = std::make_unique<ArtifactCache>(opt.cache_bytes);
+  *cache = std::make_unique<ArtifactCache>(opt.cache_bytes);
   if (!opt.cache_dir.empty() &&
-      !cache->AttachDiskTier({opt.cache_dir, opt.cache_disk_bytes})) {
+      !(*cache)->AttachDiskTier({opt.cache_dir, opt.cache_disk_bytes})) {
     fprintf(stderr, "confcc: cannot create cache dir %s\n",
             opt.cache_dir.c_str());
-    *error = true;
-    return nullptr;
-  }
-  return cache;
-}
-
-// Writes one dumped JSON document to `path`, newline-terminated; false
-// after a one-line diagnostic when the file cannot be written.
-bool WriteSink(const std::string& path, const std::string& json) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    fprintf(stderr, "confcc: cannot write %s\n", path.c_str());
     return false;
   }
-  out << json << '\n';
   return true;
 }
 
@@ -175,105 +151,164 @@ bool ReportCacheStats(const ArtifactCache& cache, const Options& opt) {
     fputs(cs.ToRow().c_str(), stderr);
   }
   return opt.cache_stats_json.empty() ||
-         WriteSink(opt.cache_stats_json, cs.ToJson().Dump());
+         cli::WriteSink(opt.cache_stats_json, cs.ToJson().Dump());
 }
 
-bool EmitBinary(const Binary& bin, const std::string& path) {
-  const std::vector<uint8_t> blob = SerializeBinary(bin);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    fprintf(stderr, "confcc: cannot write %s\n", path.c_str());
+// Reads one input file; false after a one-line diagnostic.
+bool ReadSource(const std::string& path, std::string* out) {
+  std::ifstream in(path);
+  if (!in) {
+    fprintf(stderr, "confcc: cannot open %s\n", path.c_str());
     return false;
   }
-  out.write(reinterpret_cast<const char*>(blob.data()),
-            static_cast<std::streamsize>(blob.size()));
-  return static_cast<bool>(out);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  if (in.bad()) {
+    fprintf(stderr, "confcc: error reading %s\n", path.c_str());
+    return false;
+  }
+  *out = buf.str();
+  return true;
 }
 
-// Runs `entry` of one compiled program; returns false on fault. `quiet`
-// suppresses the per-run summary line (sweep mode prints a table instead).
-// `label` suffixes the --trace-stats-json path in sweep mode so presets
-// don't clobber each other.
-bool RunProgram(std::unique_ptr<CompiledProgram> compiled, const Options& opt,
-                uint64_t* cycles_out, uint64_t* ret_out = nullptr,
-                bool quiet = false, const std::string& label = "") {
-  VmOptions vm_opts;
-  vm_opts.engine = opt.engine;
-  vm_opts.trace_threshold = opt.trace_threshold;
-  vm_opts.deadline_ms = opt.deadline_ms;
-  auto s = MakeSessionFor(std::move(compiled), vm_opts);
-  auto r = s->vm->Call(opt.entry, opt.args);
-  if (!opt.trace_stats_json.empty()) {
-    const std::string path = label.empty()
-                                 ? opt.trace_stats_json
-                                 : opt.trace_stats_json + "." + label;
-    // Engines below kTrace have no tier; an empty telemetry object keeps the
-    // sink well-formed for whoever diffs it.
-    const TraceTier* tt = s->vm->trace_tier();
-    const TraceTierStats ts = tt != nullptr ? tt->Telemetry() : TraceTierStats{};
-    if (!WriteSink(path, ts.ToJson().Dump())) {
-      return false;
-    }
-  }
+// --emit-bin: writes one serialized Binary to F, or in a sweep to
+// F.<preset>.bin for preset `sweep_label`.
+bool EmitBinary(const std::vector<uint8_t>& blob, const Options& opt,
+                const char* sweep_label) {
+  return cli::WriteFile(
+      sweep_label != nullptr ? SweepEmitPath(opt.emit_bin, sweep_label)
+                             : opt.emit_bin,
+      std::string_view(reinterpret_cast<const char*>(blob.data()), blob.size()));
+}
+
+// One guest run's outcome, from the local VM or a daemon's execute response.
+struct RunReport {
+  bool ok = false;
+  std::string fault;
+  std::string fault_msg;
+  std::string guest_stdout;
+  uint64_t ret = 0;
+  uint64_t instrs = 0;
+  uint64_t cycles = 0;
+  std::optional<VmStats> stats;  // --stats (local runs only)
+};
+
+// Prints a run's fault line, or its guest stdout and, unless `quiet` (a
+// sweep prints a table instead), its run line. False when the run faulted.
+bool ReportRun(const RunReport& r, const Options& opt, bool quiet) {
   if (!r.ok) {
     fprintf(stderr, "confcc: %s faulted: %s (%s)\n", opt.entry.c_str(),
-            FaultName(r.fault), r.fault_msg.c_str());
+            r.fault.c_str(), r.fault_msg.c_str());
     return false;
   }
-  if (!s->tlib->stdout_text().empty()) {
-    fputs(s->tlib->stdout_text().c_str(), stdout);
-  }
+  fputs(r.guest_stdout.c_str(), stdout);
   if (quiet) {
-    if (cycles_out != nullptr) {
-      *cycles_out = r.cycles;
-    }
-    if (ret_out != nullptr) {
-      *ret_out = r.ret;
-    }
     return true;
   }
   fprintf(stderr, "confcc: %s() = %lld  (%llu instructions, %llu cycles",
           opt.entry.c_str(), static_cast<long long>(r.ret),
           static_cast<unsigned long long>(r.instrs),
           static_cast<unsigned long long>(r.cycles));
-  if (opt.stats) {
-    const VmStats& vs = s->vm->stats();
+  if (r.stats.has_value()) {
     fprintf(stderr, "; checks=%llu cfi=%llu tcalls=%llu cache-miss-cyc=%llu",
-            static_cast<unsigned long long>(vs.check_instrs),
-            static_cast<unsigned long long>(vs.cfi_instrs),
-            static_cast<unsigned long long>(vs.trusted_calls),
-            static_cast<unsigned long long>(vs.cache_miss_cycles));
+            static_cast<unsigned long long>(r.stats->check_instrs),
+            static_cast<unsigned long long>(r.stats->cfi_instrs),
+            static_cast<unsigned long long>(r.stats->trusted_calls),
+            static_cast<unsigned long long>(r.stats->cache_miss_cycles));
   }
   fprintf(stderr, ")\n");
-  if (cycles_out != nullptr) {
-    *cycles_out = r.cycles;
-  }
-  if (ret_out != nullptr) {
-    *ret_out = r.ret;
-  }
   return true;
+}
+
+// A single-mode run's exit code: the guest's return value, or 1.
+int ExitCode(bool ran, const RunReport& r) {
+  return ran ? static_cast<int>(r.ret & 0xff) : 1;
+}
+
+// Writes --emit-bin, ConfVerifies the program when `verify` is set, then
+// runs `entry` and reports the run (ReportRun). In a sweep, `sweep_label`
+// names the preset: it quiets the run line and suffixes the --emit-bin and
+// --trace-stats-json paths so presets don't clobber each other. False when
+// any step fails.
+bool RunProgram(std::unique_ptr<CompiledProgram> compiled, const Options& opt,
+                const char* sweep_label, bool verify, RunReport* r) {
+  if (!opt.emit_bin.empty() &&
+      !EmitBinary(SerializeBinary(compiled->prog->binary), opt, sweep_label)) {
+    return false;
+  }
+  if (verify) {
+    const VerifyResult v = Verify(*compiled->prog);
+    fprintf(stderr, "confverify: %s (%zu procedures, %zu instructions)\n",
+            v.ok ? "ok" : "REJECTED", v.procedures, v.instructions);
+    if (!v.ok) {
+      fputs(v.ErrorText().c_str(), stderr);
+      return false;
+    }
+  }
+  VmOptions vm_opts;
+  vm_opts.engine = opt.engine;
+  vm_opts.trace_threshold = opt.trace_threshold;
+  vm_opts.deadline_ms = opt.deadline_ms;
+  auto s = MakeSessionFor(std::move(compiled), vm_opts);
+  const Vm::CallResult cr = s->vm->Call(opt.entry, opt.args);
+  if (!opt.trace_stats_json.empty()) {
+    // Engines below kTrace have no tier; an empty telemetry object keeps the
+    // sink well-formed for whoever diffs it.
+    const TraceTier* tt = s->vm->trace_tier();
+    const TraceTierStats ts = tt != nullptr ? tt->Telemetry() : TraceTierStats{};
+    if (!cli::WriteSink(sweep_label != nullptr
+                            ? opt.trace_stats_json + "." + sweep_label
+                            : opt.trace_stats_json,
+                        ts.ToJson().Dump())) {
+      return false;
+    }
+  }
+  r->ok = cr.ok;
+  r->fault = FaultName(cr.fault);
+  r->fault_msg = cr.fault_msg;
+  r->guest_stdout = s->tlib->stdout_text();
+  r->ret = cr.ret;
+  r->instrs = cr.instrs;
+  r->cycles = cr.cycles;
+  if (opt.stats) {
+    r->stats = s->vm->stats();
+  }
+  return ReportRun(*r, opt, sweep_label != nullptr);
+}
+
+void FailRow(const char* preset) {
+  fprintf(stderr, "%-12s%8s\n", preset, "FAIL");
+}
+
+// The `preset ok cycles` table of the --link and --connect sweeps.
+// `run(preset, &cycles)` builds and runs one preset, printing that preset's
+// FAIL row itself where it calls for one; false counts a failure.
+int CyclesSweep(const std::function<bool(BuildPreset, uint64_t*)>& run) {
+  fprintf(stderr, "%-12s%8s%14s\n", "preset", "ok", "cycles");
+  int failures = 0;
+  for (const BuildPreset p : kAllBuildPresets) {
+    uint64_t cycles = 0;
+    if (!run(p, &cycles)) {
+      ++failures;
+      continue;
+    }
+    fprintf(stderr, "%-12s%8s%14llu\n", PresetName(p), "ok",
+            static_cast<unsigned long long>(cycles));
+  }
+  return failures == 0 ? 0 : 1;
 }
 
 // --preset=all: compile every configuration concurrently, then run each.
 int RunSweep(const std::string& source, const Options& opt) {
-  std::vector<BatchJob> jobs;
-  for (const BuildPreset p : kAllBuildPresets) {
-    BatchJob job;
-    job.label = PresetName(p);
-    job.source = source;
-    job.config = BuildConfig::ForWholeProgram(p, opt.all_private);
-    // ConfVerify targets fully-instrumented secure binaries; skip for
-    // Base-like presets and the single-stack OurMPX-Sep ablation even under
-    // --verify (mirrors the paper's threat model).
-    job.verify = opt.verify && WantsVerify(job.config);
-    jobs.push_back(std::move(job));
-  }
-  bool cache_error = false;
-  std::unique_ptr<ArtifactCache> cache = MakeCache(opt, &cache_error);
-  if (cache_error) {
+  std::unique_ptr<ArtifactCache> cache;
+  if (!MakeCache(opt, &cache)) {
     return 1;
   }
-  auto outcomes = CompileBatch(jobs, opt.jobs, cache.get());
+  // ConfVerify runs only on presets WantsVerify accepts, even under
+  // --verify (mirrors the paper's threat model).
+  auto outcomes =
+      CompileBatch(PresetSweepJobs(source, opt.verify, opt.all_private),
+                   opt.jobs, cache.get());
 
   int failures = 0;
   if (opt.time_passes) {
@@ -282,10 +317,11 @@ int RunSweep(const std::string& source, const Options& opt) {
   fprintf(stderr, "%-12s%8s%10s%10s%12s%14s\n", "preset", "ok", "ms", "words",
           "constraints", "cycles");
   for (auto& out : outcomes) {
+    const char* label = out.label.c_str();
     if (!out.ok) {
       ++failures;
-      fprintf(stderr, "%-12s%8s\n%s", out.label.c_str(), "FAIL",
-              out.invocation->diags().ToString().c_str());
+      FailRow(label);
+      fputs(out.invocation->diags().ToString().c_str(), stderr);
       continue;
     }
     // Warnings (e.g. implicit-flow notes under --all-private) still matter
@@ -293,26 +329,19 @@ int RunSweep(const std::string& source, const Options& opt) {
     fputs(out.invocation->diags().ToString().c_str(), stderr);
     const PipelineStats& ps = out.invocation->stats();
     if (opt.disasm) {
-      printf("-- %s --\n%s", out.label.c_str(),
+      printf("-- %s --\n%s", label,
              Disassemble(out.program->prog->binary).c_str());
     }
-    if (!opt.emit_bin.empty() &&
-        !EmitBinary(out.program->prog->binary,
-                    SweepEmitPath(opt.emit_bin, out.label))) {
+    RunReport r;
+    if (!RunProgram(std::move(out.program), opt, label, false, &r)) {
       ++failures;
       continue;
     }
-    uint64_t cycles = 0;
-    if (!RunProgram(std::move(out.program), opt, &cycles, nullptr,
-                    /*quiet=*/true, out.label)) {
-      ++failures;
-      continue;
-    }
-    fprintf(stderr, "%-12s%8s%10.2f%10llu%12zu%14llu\n", out.label.c_str(), "ok",
+    fprintf(stderr, "%-12s%8s%10.2f%10llu%12zu%14llu\n", label, "ok",
             ps.total_ms, static_cast<unsigned long long>(ps.codegen.code_words),
-            ps.solver.constraints, static_cast<unsigned long long>(cycles));
+            ps.solver.constraints, static_cast<unsigned long long>(r.cycles));
     if (opt.time_passes) {
-      fprintf(stderr, "-- %s --\n%s", out.label.c_str(), ps.ToTable().c_str());
+      fprintf(stderr, "-- %s --\n%s", label, ps.ToTable().c_str());
     }
   }
   if (cache != nullptr && !ReportCacheStats(*cache, opt)) {
@@ -332,8 +361,10 @@ std::string ModuleNameOf(const std::string& path) {
 }
 
 // Compiles the graph under one preset (waves through the shared cache),
-// links, loads, and optionally verifies. Prints per-module and link/verify
-// diagnostics; returns the runnable program (null on failure).
+// links, loads, and optionally verifies. Prints the per-module
+// --time-passes tables and the build's diagnostics, which carry each failed
+// module's own errors under its name; returns the runnable program (null on
+// failure).
 std::unique_ptr<CompiledProgram> BuildLinked(const BuildGraph& graph,
                                              const BuildConfig& config,
                                              const Options& opt,
@@ -344,14 +375,8 @@ std::unique_ptr<CompiledProgram> BuildLinked(const BuildGraph& graph,
   sopts.verify = opt.verify && WantsVerify(config);
   BuildScheduler sched(&graph, config, sopts);
   LinkedBuild build = sched.Run(cache);
-  if (stats_out != nullptr) {
-    *stats_out = build.stats;
-  }
+  *stats_out = build.stats;
   for (const ModuleOutcome& mo : build.modules) {
-    if (mo.invocation != nullptr && !mo.invocation->diags().diagnostics().empty()) {
-      fprintf(stderr, "-- module %s --\n%s", mo.name.c_str(),
-              mo.invocation->diags().ToString().c_str());
-    }
     if (opt.time_passes && mo.invocation != nullptr) {
       fprintf(stderr, "-- module %s --\n%s", mo.name.c_str(),
               mo.invocation->stats().ToTable().c_str());
@@ -381,25 +406,17 @@ int RunLink(const Options& opt) {
   DiagEngine gdiags;
   BuildGraph graph;
   for (const std::string& f : opt.files) {
-    std::ifstream in(f);
-    if (!in) {
-      fprintf(stderr, "confcc: cannot open %s\n", f.c_str());
+    std::string source;
+    if (!ReadSource(f, &source)) {
       return 1;
     }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    if (in.bad()) {
-      fprintf(stderr, "confcc: error reading %s\n", f.c_str());
-      return 1;
-    }
-    if (!graph.AddModule(ModuleNameOf(f), buf.str(), &gdiags)) {
+    if (!graph.AddModule(ModuleNameOf(f), std::move(source), &gdiags)) {
       fputs(gdiags.ToString().c_str(), stderr);
       return 1;
     }
   }
-  bool cache_error = false;
-  std::unique_ptr<ArtifactCache> cache = MakeCache(opt, &cache_error);
-  if (cache_error) {
+  std::unique_ptr<ArtifactCache> cache;
+  if (!MakeCache(opt, &cache)) {
     return 1;
   }
   // Interface extraction and parse keys are preset-independent; any preset's
@@ -417,10 +434,8 @@ int RunLink(const Options& opt) {
   }
   Json graph_json;
   if (opt.sweep) {
-    int failures = 0;
     graph_json = Json::Array();
-    fprintf(stderr, "%-12s%8s%14s\n", "preset", "ok", "cycles");
-    for (const BuildPreset p : kAllBuildPresets) {
+    rc = CyclesSweep([&](BuildPreset p, uint64_t* cycles) {
       BuildGraphStats stats;
       auto compiled =
           BuildLinked(graph, BuildConfig::ForWholeProgram(p, opt.all_private),
@@ -430,26 +445,16 @@ int RunLink(const Options& opt) {
       row.Set("graph", stats.ToJson());
       graph_json.Append(std::move(row));
       if (compiled == nullptr) {
-        ++failures;
-        fprintf(stderr, "%-12s%8s\n", PresetName(p), "FAIL");
-        continue;
+        FailRow(PresetName(p));
+        return false;
       }
-      if (!opt.emit_bin.empty() &&
-          !EmitBinary(compiled->prog->binary,
-                      SweepEmitPath(opt.emit_bin, PresetName(p)))) {
-        ++failures;
-        continue;
+      RunReport r;
+      if (!RunProgram(std::move(compiled), opt, PresetName(p), false, &r)) {
+        return false;
       }
-      uint64_t cycles = 0;
-      if (!RunProgram(std::move(compiled), opt, &cycles, nullptr, /*quiet=*/true,
-                      PresetName(p))) {
-        ++failures;
-        continue;
-      }
-      fprintf(stderr, "%-12s%8s%14llu\n", PresetName(p), "ok",
-              static_cast<unsigned long long>(cycles));
-    }
-    rc = failures == 0 ? 0 : 1;
+      *cycles = r.cycles;
+      return true;
+    });
   } else {
     BuildGraphStats stats;
     auto compiled = BuildLinked(
@@ -462,20 +467,12 @@ int RunLink(const Options& opt) {
       if (opt.disasm) {
         fputs(Disassemble(compiled->prog->binary).c_str(), stdout);
       }
-      if (!opt.emit_bin.empty() &&
-          !EmitBinary(compiled->prog->binary, opt.emit_bin)) {
-        rc = 1;
-      } else {
-        uint64_t cycles = 0;
-        uint64_t ret = 0;
-        rc = RunProgram(std::move(compiled), opt, &cycles, &ret)
-                 ? static_cast<int>(ret & 0xff)
-                 : 1;
-      }
+      RunReport r;
+      rc = ExitCode(RunProgram(std::move(compiled), opt, nullptr, false, &r), r);
     }
   }
   if (!opt.graph_stats_json.empty() &&
-      !WriteSink(opt.graph_stats_json, graph_json.Dump())) {
+      !cli::WriteSink(opt.graph_stats_json, graph_json.Dump())) {
     return 1;
   }
   if (cache != nullptr && !ReportCacheStats(*cache, opt)) {
@@ -488,11 +485,43 @@ int RunLink(const Options& opt) {
 //
 // Forwards the CLI verbs to a running confccd (tools/confccd_main.cc) over
 // its Unix socket, so this invocation compiles against the daemon's warm
-// shared cache instead of a cold private one. The daemon owns the cache
-// tiers: client-local cache configuration under --connect is a
-// contradiction, not a preference — rather than silently compiling against
-// a client-local tier (cold every run, invisible to the daemon's stats),
-// the conflict is a one-line nonzero-exit diagnostic.
+// shared cache instead of a cold private one.
+
+// The daemon owns the cache tiers, and its execute response carries none of
+// the local-only outputs. A flag naming either is a contradiction, not a
+// preference: rather than silently compiling against a client-local tier
+// (cold every run, invisible to the daemon's stats) or dropping an output,
+// confcc refuses it with a one-line diagnostic before dialing. True when a
+// flag was refused.
+bool ConnectConflicts(const Options& opt) {
+  const char* const kTiers = "the daemon owns the cache tiers";
+  const char* const kLocal = "the daemon does not return that output";
+  const struct {
+    bool set;
+    const char* flag;
+    const char* why;
+  } flags[] = {
+      {!opt.cache_dir.empty(), "--cache-dir", kTiers},
+      {opt.cache_bytes != 0, "--cache-bytes", kTiers},
+      {opt.cache_disk_bytes != 0, "--cache-disk-bytes", kTiers},
+      {opt.incremental, "--incremental", kTiers},
+      {!opt.trace_stats_json.empty(), "--trace-stats-json", kLocal},
+      {!opt.graph_stats_json.empty(), "--graph-stats-json", kLocal},
+      {opt.time_passes, "--time-passes", kLocal},
+      {opt.disasm, "--disasm", kLocal},
+      {opt.stats, "--stats", kLocal},
+  };
+  for (const auto& f : flags) {
+    if (f.set) {
+      fprintf(stderr,
+              "confcc: %s conflicts with --connect=%s: %s; drop %s or run "
+              "without --connect\n",
+              f.flag, opt.connect.c_str(), f.why, f.flag);
+      return true;
+    }
+  }
+  return false;
+}
 
 int FetchDaemonStats(ConfccdClient& client, const Options& opt) {
   Json req = Json::Object();
@@ -510,58 +539,26 @@ int FetchDaemonStats(ConfccdClient& client, const Options& opt) {
   // The daemon sends its cache document already dumped (the `stats` verb's
   // cache_json string).
   if (!opt.cache_stats_json.empty() &&
-      !WriteSink(opt.cache_stats_json, resp.GetString("cache_json"))) {
+      !cli::WriteSink(opt.cache_stats_json, resp.GetString("cache_json"))) {
     return 1;
   }
   return 0;
 }
 
 int RunConnect(const Options& opt) {
-  // The satellite contract: --cache-dir (and friends) name a *client-local*
-  // cache location while --connect hands compilation to a daemon with its
-  // own tiers. Disagreeing silently would compile cold and lie about it.
-  if (!opt.cache_dir.empty() || opt.cache_bytes != 0 ||
-      opt.cache_disk_bytes != 0 || opt.incremental) {
-    const char* flag = !opt.cache_dir.empty()           ? "--cache-dir"
-                       : opt.cache_bytes != 0           ? "--cache-bytes"
-                       : opt.cache_disk_bytes != 0      ? "--cache-disk-bytes"
-                                                        : "--incremental";
-    fprintf(stderr,
-            "confcc: %s conflicts with --connect=%s: the daemon owns the "
-            "cache tiers; drop %s or run without --connect\n",
-            flag, opt.connect.c_str(), flag);
-    return 2;
-  }
-
   // Read the inputs before dialing out — a missing file should not cost a
   // round trip (and keeps the error messages identical to solo mode).
   std::vector<std::pair<std::string, std::string>> modules;  // name, source
   std::string source;
-  if (!opt.files.empty()) {
-    if (!opt.link && opt.files.size() > 1) {
-      fprintf(stderr,
-              "confcc: %zu input files given without --link; pass --link to "
-              "build them as modules\n",
-              opt.files.size());
-      return Usage();
+  for (const std::string& f : opt.files) {
+    std::string text;
+    if (!ReadSource(f, &text)) {
+      return 1;
     }
-    for (const std::string& f : opt.files) {
-      std::ifstream in(f);
-      if (!in) {
-        fprintf(stderr, "confcc: cannot open %s\n", f.c_str());
-        return 1;
-      }
-      std::stringstream buf;
-      buf << in.rdbuf();
-      if (in.bad()) {
-        fprintf(stderr, "confcc: error reading %s\n", f.c_str());
-        return 1;
-      }
-      if (opt.link) {
-        modules.emplace_back(ModuleNameOf(f), buf.str());
-      } else {
-        source = buf.str();
-      }
+    if (opt.link) {
+      modules.emplace_back(ModuleNameOf(f), std::move(text));
+    } else {
+      source = std::move(text);
     }
   }
 
@@ -619,10 +616,11 @@ int RunConnect(const Options& opt) {
     return req;
   };
 
-  // Runs one preset through the daemon. Returns the process exit code for
-  // single mode; sweep mode treats nonzero as a failure and keeps going.
-  auto run_one = [&](const char* preset_name, bool quiet,
-                     uint64_t* cycles_out) -> int {
+  // Runs one preset through the daemon and reports it like a local run
+  // (`sweep_label` as in RunProgram). Returns 0, or the process exit code of
+  // the failure.
+  auto run_one = [&](const char* preset_name, const char* sweep_label,
+                     RunReport* r) -> int {
     Json resp;
     int retries = 0;
     if (!client.CallWithRetry(make_req(preset_name), &resp, &err,
@@ -645,53 +643,37 @@ int RunConnect(const Options& opt) {
         fprintf(stderr, "confcc: daemon returned a malformed binary\n");
         return 1;
       }
-      const std::string path =
-          quiet ? SweepEmitPath(opt.emit_bin, preset_name) : opt.emit_bin;
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      if (!out ||
-          !out.write(reinterpret_cast<const char*>(blob.data()),
-                     static_cast<std::streamsize>(blob.size()))) {
-        fprintf(stderr, "confcc: cannot write %s\n", path.c_str());
+      if (!EmitBinary(blob, opt, sweep_label)) {
         return 1;
       }
     }
-    if (!resp.GetBool("ran_ok")) {
-      fprintf(stderr, "confcc: %s faulted: %s (%s)\n", opt.entry.c_str(),
-              resp.GetString("fault").c_str(),
-              resp.GetString("fault_msg").c_str());
-      return 1;
-    }
-    fputs(resp.GetString("guest_stdout").c_str(), stdout);
-    if (cycles_out != nullptr) {
-      *cycles_out = resp.GetUInt("cycles");
-    }
-    if (quiet) {
-      return 0;
-    }
-    fprintf(stderr, "confcc: %s() = %lld  (%llu instructions, %llu cycles)\n",
-            opt.entry.c_str(), static_cast<long long>(resp.GetUInt("ret")),
-            static_cast<unsigned long long>(resp.GetUInt("instrs")),
-            static_cast<unsigned long long>(resp.GetUInt("cycles")));
-    return static_cast<int>(resp.GetUInt("ret") & 0xff);
+    r->ok = resp.GetBool("ran_ok");
+    r->fault = resp.GetString("fault");
+    r->fault_msg = resp.GetString("fault_msg");
+    r->guest_stdout = resp.GetString("guest_stdout");
+    r->ret = resp.GetUInt("ret");
+    r->instrs = resp.GetUInt("instrs");
+    r->cycles = resp.GetUInt("cycles");
+    return ReportRun(*r, opt, sweep_label != nullptr) ? 0 : 1;
   };
 
   int rc;
   if (opt.sweep) {
-    int failures = 0;
-    fprintf(stderr, "%-12s%8s%14s\n", "preset", "ok", "cycles");
-    for (const BuildPreset p : kAllBuildPresets) {
-      uint64_t cycles = 0;
-      if (run_one(PresetName(p), /*quiet=*/true, &cycles) != 0) {
-        ++failures;
-        fprintf(stderr, "%-12s%8s\n", PresetName(p), "FAIL");
-        continue;
+    rc = CyclesSweep([&](BuildPreset p, uint64_t* cycles) {
+      RunReport r;
+      if (run_one(PresetName(p), PresetName(p), &r) != 0) {
+        FailRow(PresetName(p));
+        return false;
       }
-      fprintf(stderr, "%-12s%8s%14llu\n", PresetName(p), "ok",
-              static_cast<unsigned long long>(cycles));
-    }
-    rc = failures == 0 ? 0 : 1;
+      *cycles = r.cycles;
+      return true;
+    });
   } else {
-    rc = run_one(PresetName(opt.preset), /*quiet=*/false, nullptr);
+    RunReport r;
+    rc = run_one(PresetName(opt.preset), nullptr, &r);
+    if (rc == 0) {
+      rc = ExitCode(true, r);
+    }
   }
 
   if (opt.cache_stats || !opt.cache_stats_json.empty()) {
@@ -702,11 +684,6 @@ int RunConnect(const Options& opt) {
   }
   return rc;
 }
-
-// Written at exit by main() when --inject-report=F was given: the fault
-// injector's per-site counters survive even a fatal error, so a chaos run
-// that dies still reports what fired.
-std::string g_inject_report;
 
 int Main(int argc, char** argv) {
   Options opt;
@@ -727,10 +704,17 @@ int Main(int argc, char** argv) {
       std::string tok;
       while (std::getline(ss, tok, ',')) {
         uint64_t v = 0;
-        if (!ParseFlagU64("--args element", tok, &v)) {
+        if (!cli::ParseFlag("--args element", tok, &v)) {
           return Usage();
         }
         opt.args.push_back(v);
+      }
+      // The ABI has kNumArgRegs argument registers (sema rejects a function
+      // with more parameters), so a longer list could never be passed.
+      if (opt.args.size() > kNumArgRegs) {
+        fprintf(stderr, "confcc: bad --args '%s' (expected at most %d values)\n",
+                a.substr(7).c_str(), kNumArgRegs);
+        return Usage();
       }
     } else if (a.rfind("--jobs=", 0) == 0) {
       // Parse signed so `--jobs=-1` cannot wrap to ~4 billion workers; zero
@@ -742,14 +726,14 @@ int Main(int argc, char** argv) {
         fprintf(stderr, "confcc: warning: %s\n", warning.c_str());
       }
     } else if (a.rfind("--cache-bytes=", 0) == 0) {
-      if (!ParseFlagU64("--cache-bytes", a.substr(14), &opt.cache_bytes)) {
+      if (!cli::ParseFlag("--cache-bytes", a.substr(14), &opt.cache_bytes)) {
         return Usage();
       }
     } else if (a.rfind("--cache-dir=", 0) == 0) {
       opt.cache_dir = a.substr(12);
     } else if (a.rfind("--cache-disk-bytes=", 0) == 0) {
-      if (!ParseFlagU64("--cache-disk-bytes", a.substr(19),
-                        &opt.cache_disk_bytes)) {
+      if (!cli::ParseFlag("--cache-disk-bytes", a.substr(19),
+                          &opt.cache_disk_bytes)) {
         return Usage();
       }
     } else if (a.rfind("--cache-stats-json=", 0) == 0) {
@@ -770,8 +754,8 @@ int Main(int argc, char** argv) {
         return Usage();
       }
     } else if (a.rfind("--trace-threshold=", 0) == 0) {
-      if (!ParseFlagU64("--trace-threshold", a.substr(18),
-                        &opt.trace_threshold)) {
+      if (!cli::ParseFlag("--trace-threshold", a.substr(18),
+                          &opt.trace_threshold)) {
         return Usage();
       }
     } else if (a.rfind("--trace-stats-json=", 0) == 0) {
@@ -783,9 +767,9 @@ int Main(int argc, char** argv) {
         return Usage();
       }
     } else if (a.rfind("--inject-report=", 0) == 0) {
-      g_inject_report = a.substr(16);
+      cli::g_inject_report = a.substr(16);
     } else if (a.rfind("--deadline-ms=", 0) == 0) {
-      if (!ParseFlagU64("--deadline-ms", a.substr(14), &opt.deadline_ms)) {
+      if (!cli::ParseFlag("--deadline-ms", a.substr(14), &opt.deadline_ms)) {
         return Usage();
       }
     } else if (a == "--incremental") {
@@ -805,43 +789,35 @@ int Main(int argc, char** argv) {
     } else if (a[0] == '-') {
       return Usage();
     } else {
-      opt.file = a;
       opt.files.push_back(a);
     }
   }
-  if (!opt.connect.empty()) {
-    // Daemon client mode: inputs optional (stats-only queries have none);
-    // RunConnect validates its own argument combinations.
-    return RunConnect(opt);
+  if (!opt.connect.empty() && ConnectConflicts(opt)) {
+    return 2;
   }
-  if (opt.file.empty()) {
-    return Usage();
-  }
-  if (opt.link) {
-    return RunLink(opt);
-  }
-  if (opt.files.size() > 1) {
+  if (!opt.link && opt.files.size() > 1) {
     fprintf(stderr,
             "confcc: %zu input files given without --link; pass --link to "
             "build them as modules\n",
             opt.files.size());
     return Usage();
   }
-
-  std::ifstream in(opt.file);
-  if (!in) {
-    fprintf(stderr, "confcc: cannot open %s\n", opt.file.c_str());
+  if (!opt.connect.empty()) {
+    // Daemon client mode: inputs optional (stats-only queries have none).
+    return RunConnect(opt);
+  }
+  if (opt.files.empty()) {
+    return Usage();
+  }
+  if (opt.link) {
+    return RunLink(opt);
+  }
+  std::string source;
+  if (!ReadSource(opt.files[0], &source)) {
     return 1;
   }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) {
-    fprintf(stderr, "confcc: error reading %s\n", opt.file.c_str());
-    return 1;
-  }
-
   if (opt.sweep) {
-    return RunSweep(buf.str(), opt);
+    return RunSweep(source, opt);
   }
 
   BuildConfig config = BuildConfig::ForWholeProgram(opt.preset, opt.all_private);
@@ -849,12 +825,11 @@ int Main(int argc, char** argv) {
   // hardware concurrency, matching the sweep's worker semantics; output is
   // bit-identical for any value).
   config.codegen_jobs = opt.jobs;
-  bool cache_error = false;
-  std::unique_ptr<ArtifactCache> cache = MakeCache(opt, &cache_error);
-  if (cache_error) {
+  std::unique_ptr<ArtifactCache> cache;
+  if (!MakeCache(opt, &cache)) {
     return 1;
   }
-  CompilerInvocation inv(buf.str(), config);
+  CompilerInvocation inv(std::move(source), config);
   inv.set_cache(cache.get());
   const bool ok = RunStandardPipeline(&inv);
   fputs(inv.diags().ToString().c_str(), stderr);
@@ -870,7 +845,7 @@ int Main(int argc, char** argv) {
   }
   auto compiled = inv.TakeProgram();
   fprintf(stderr, "confcc: %s: %zu code words, %zu functions, %zu imports [%s, %s]\n",
-          opt.file.c_str(), compiled->prog->binary.code.size(),
+          opt.files[0].c_str(), compiled->prog->binary.code.size(),
           compiled->prog->binary.functions.size(),
           compiled->prog->binary.imports.size(), PresetName(opt.preset),
           OptLevelName(inv.config().opt_level));
@@ -878,54 +853,13 @@ int Main(int argc, char** argv) {
   if (opt.disasm) {
     fputs(Disassemble(compiled->prog->binary).c_str(), stdout);
   }
-  if (!opt.emit_bin.empty() &&
-      !EmitBinary(compiled->prog->binary, opt.emit_bin)) {
-    return 1;
-  }
-  if (opt.verify) {
-    VerifyResult v = Verify(*compiled->prog);
-    fprintf(stderr, "confverify: %s (%zu procedures, %zu instructions)\n",
-            v.ok ? "ok" : "REJECTED", v.procedures, v.instructions);
-    if (!v.ok) {
-      fputs(v.ErrorText().c_str(), stderr);
-      return 1;
-    }
-  }
-
-  uint64_t cycles = 0;
-  uint64_t ret = 0;
-  if (!RunProgram(std::move(compiled), opt, &cycles, &ret)) {
-    return 1;
-  }
-  return static_cast<int>(ret & 0xff);
+  RunReport r;
+  return ExitCode(RunProgram(std::move(compiled), opt, nullptr, opt.verify, &r),
+                  r);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Environment-armed injection (the CI chaos job): read before flag parsing
-  // so an explicit --inject-faults overrides the environment.
-  std::string env_err;
-  if (!FaultInjector::Instance().ConfigureFromEnv(&env_err)) {
-    fprintf(stderr, "confcc: bad CONFCC_INJECT_FAULTS: %s\n", env_err.c_str());
-    return 2;
-  }
-  // Last-resort failure isolation: any error that escapes the driver —
-  // including injected chaos faults surfacing somewhere unhardened — exits
-  // with a one-line diagnostic, never a raw terminate/core.
-  int rc;
-  try {
-    rc = Main(argc, argv);
-  } catch (const std::exception& e) {
-    fprintf(stderr, "confcc: fatal: %s\n", e.what());
-    rc = 1;
-  } catch (...) {
-    fprintf(stderr, "confcc: fatal: unknown error\n");
-    rc = 1;
-  }
-  if (!g_inject_report.empty() &&
-      !WriteSink(g_inject_report, FaultInjector::Instance().ReportJson().Dump())) {
-    rc = rc == 0 ? 1 : rc;
-  }
-  return rc;
+  return cli::RunTool("confcc", Main, argc, argv);
 }

@@ -25,16 +25,13 @@
 // service.dispatch are the service-tier sites; the CONFCC_INJECT_FAULTS
 // environment variable is read first, the flag overrides it).
 #include <csignal>
-#include <cstdint>
 #include <cstdio>
-#include <exception>
-#include <fstream>
 #include <string>
 #include <thread>
 
 #include "src/service/server.h"
 #include "src/support/fault_injection.h"
-#include "src/support/strings.h"
+#include "tools/cli.h"
 
 using namespace confllvm;
 
@@ -52,36 +49,6 @@ int Usage() {
   return 2;
 }
 
-// Parses a numeric flag's value into `*out`. A value that is not an
-// unsigned integer, or that `T` cannot hold (--workers and --build-jobs are
-// `unsigned`), gets a one-line diagnostic, and the caller exits with the
-// usage text.
-template <typename T>
-bool ParseFlag(const char* flag, const std::string& value, T* out) {
-  uint64_t v = 0;
-  if (!ParseU64(value, &v) || static_cast<T>(v) != v) {
-    fprintf(stderr, "confccd: bad %s '%s' (expected an unsigned integer)\n",
-            flag, value.c_str());
-    return false;
-  }
-  *out = static_cast<T>(v);
-  return true;
-}
-
-std::string g_inject_report;
-
-// Writes one dumped JSON document to `path`, newline-terminated.
-bool WriteSink(const std::string& path, const std::string& json,
-               const char* what) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    fprintf(stderr, "confccd: cannot write %s %s\n", what, path.c_str());
-    return false;
-  }
-  out << json << '\n';
-  return true;
-}
-
 int Main(int argc, char** argv) {
   ConfccdServer::Options opts;
   std::string cache_stats_json;
@@ -91,42 +58,42 @@ int Main(int argc, char** argv) {
     if (a.rfind("--socket=", 0) == 0) {
       opts.socket_path = a.substr(9);
     } else if (a.rfind("--workers=", 0) == 0) {
-      if (!ParseFlag("--workers", a.substr(10), &opts.sched.num_workers)) {
+      if (!cli::ParseFlag("--workers", a.substr(10), &opts.sched.num_workers)) {
         return Usage();
       }
     } else if (a.rfind("--cache-bytes=", 0) == 0) {
-      if (!ParseFlag("--cache-bytes", a.substr(14), &opts.cache_bytes)) {
+      if (!cli::ParseFlag("--cache-bytes", a.substr(14), &opts.cache_bytes)) {
         return Usage();
       }
     } else if (a.rfind("--cache-dir=", 0) == 0) {
       opts.cache_dir = a.substr(12);
     } else if (a.rfind("--cache-disk-bytes=", 0) == 0) {
-      if (!ParseFlag("--cache-disk-bytes", a.substr(19),
+      if (!cli::ParseFlag("--cache-disk-bytes", a.substr(19),
                      &opts.cache_disk_bytes)) {
         return Usage();
       }
     } else if (a.rfind("--max-queue-depth=", 0) == 0) {
-      if (!ParseFlag("--max-queue-depth", a.substr(18),
+      if (!cli::ParseFlag("--max-queue-depth", a.substr(18),
                      &opts.sched.max_queue_depth)) {
         return Usage();
       }
     } else if (a.rfind("--max-inflight-per-client=", 0) == 0) {
-      if (!ParseFlag("--max-inflight-per-client", a.substr(26),
+      if (!cli::ParseFlag("--max-inflight-per-client", a.substr(26),
                      &opts.sched.max_inflight_per_client)) {
         return Usage();
       }
     } else if (a.rfind("--deadline-ms=", 0) == 0) {
-      if (!ParseFlag("--deadline-ms", a.substr(14),
+      if (!cli::ParseFlag("--deadline-ms", a.substr(14),
                      &opts.default_deadline_ms)) {
         return Usage();
       }
     } else if (a.rfind("--max-deadline-ms=", 0) == 0) {
-      if (!ParseFlag("--max-deadline-ms", a.substr(18),
+      if (!cli::ParseFlag("--max-deadline-ms", a.substr(18),
                      &opts.max_deadline_ms)) {
         return Usage();
       }
     } else if (a.rfind("--build-jobs=", 0) == 0) {
-      if (!ParseFlag("--build-jobs", a.substr(13), &opts.build_jobs)) {
+      if (!cli::ParseFlag("--build-jobs", a.substr(13), &opts.build_jobs)) {
         return Usage();
       }
     } else if (a.rfind("--inject-faults=", 0) == 0) {
@@ -136,7 +103,7 @@ int Main(int argc, char** argv) {
         return Usage();
       }
     } else if (a.rfind("--inject-report=", 0) == 0) {
-      g_inject_report = a.substr(16);
+      cli::g_inject_report = a.substr(16);
     } else if (a.rfind("--cache-stats-json=", 0) == 0) {
       cache_stats_json = a.substr(19);
     } else if (a.rfind("--sched-stats-json=", 0) == 0) {
@@ -188,12 +155,13 @@ int Main(int argc, char** argv) {
   const CacheStats cs = server.cache().stats();
   fputs(cs.ToRow().c_str(), stderr);
   if (!cache_stats_json.empty() &&
-      !WriteSink(cache_stats_json, cs.ToJson().Dump(), "cache stats")) {
+      !cli::WriteSink(cache_stats_json, cs.ToJson().Dump(), "cache stats")) {
     rc = 1;
   }
   if (!sched_stats_json.empty() &&
-      !WriteSink(sched_stats_json, server.scheduler().stats().ToJson().Dump(),
-                 "sched stats")) {
+      !cli::WriteSink(sched_stats_json,
+                      server.scheduler().stats().ToJson().Dump(),
+                      "sched stats")) {
     rc = 1;
   }
   return rc;
@@ -202,25 +170,5 @@ int Main(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string env_err;
-  if (!FaultInjector::Instance().ConfigureFromEnv(&env_err)) {
-    fprintf(stderr, "confccd: bad CONFCC_INJECT_FAULTS: %s\n", env_err.c_str());
-    return 2;
-  }
-  int rc;
-  try {
-    rc = Main(argc, argv);
-  } catch (const std::exception& e) {
-    fprintf(stderr, "confccd: fatal: %s\n", e.what());
-    rc = 1;
-  } catch (...) {
-    fprintf(stderr, "confccd: fatal: unknown error\n");
-    rc = 1;
-  }
-  if (!g_inject_report.empty() &&
-      !WriteSink(g_inject_report, FaultInjector::Instance().ReportJson().Dump(),
-                 "inject report")) {
-    rc = rc == 0 ? 1 : rc;
-  }
-  return rc;
+  return cli::RunTool("confccd", Main, argc, argv, "inject report");
 }

@@ -496,12 +496,8 @@ Json ConfccdServer::HandleExecute(const Json& req) {
   if (modules == nullptr && req.GetString("source").empty()) {
     return Response("error", "execute: missing source or modules");
   }
-  std::unique_ptr<CompiledProgram> compiled;
-  Json resp = Build(req, modules, &compiled);
-  if (compiled == nullptr) {
-    return resp;
-  }
-
+  // A request that will be refused is refused before it compiles, links,
+  // loads or touches the shared cache.
   VmOptions vm_opts;
   const std::string engine = req.GetString("engine");
   if (!engine.empty() && !ParseEngineName(engine, &vm_opts.engine)) {
@@ -535,6 +531,11 @@ Json ConfccdServer::HandleExecute(const Json& req) {
   }
   vm_opts.deadline_ms = deadline;
 
+  std::unique_ptr<CompiledProgram> compiled;
+  Json resp = Build(req, modules, &compiled);
+  if (compiled == nullptr) {
+    return resp;
+  }
   auto session = MakeSessionFor(std::move(compiled), vm_opts);
   const Vm::CallResult r =
       session->vm->Call(req.GetString("entry", "main"), args);

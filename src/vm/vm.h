@@ -90,8 +90,9 @@ struct VmStats {
 // cycle counts); kFast trades a one-time ExecImage build per loaded program
 // (shared by all of its copies, such as every artifact-cache restore of it)
 // for a several-times-faster hot loop, and kTrace adds runtime hot-block
-// promotion on top of it (see ARCHITECTURE.md "Engine tiers").
-// tests/vm_engine_test.cc enforces the equivalence differentially.
+// promotion on top of it (see ARCHITECTURE.md "Engine tiers"). kTrace is
+// the default; kRef stays the executable semantics the others are checked
+// against. tests/vm_engine_test.cc enforces the equivalence differentially.
 enum class VmEngine : uint8_t {
   kRef,    // the original per-step decoder switch — the semantic reference
   kFast,   // token-threaded dispatch over a pre-flattened ExecImage
@@ -114,7 +115,11 @@ struct VmOptions {
   // VmFault::kDeadline, reported like any other fault (ok=false in the
   // CallResult), never by killing the process.
   uint64_t deadline_ms = 0;
-  VmEngine engine = VmEngine::kFast;
+  // The trace tier by default: a guest whose blocks never reach
+  // trace_threshold pays only a private copy of the record stream and one
+  // counting dispatch per block entry, while a hot loop runs ~1.3x faster
+  // than on kFast.
+  VmEngine engine = VmEngine::kTrace;
   // When non-null, the *reference* engine counts every dynamically executed
   // opcode pair into (*pair_histogram)[prev_op * 256 + op] (resized to
   // 256*256 by the Vm constructor if needed). The previous-op state lives

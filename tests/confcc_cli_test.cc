@@ -4,10 +4,11 @@
 // injection spec, malformed numeric flag, unknown engine or preset — exits
 // nonzero with a one-line diagnostic, injected
 // chaos never changes emitted bytes, and the injector's hit-count report
-// lands where --inject-report points. The confccd daemon's numeric flags
-// are checked the same way against its real binary (CONFCCD_PATH), and so are
-// its startup line's worker count and its SIGTERM drain: stats sinks
-// written, exit 0.
+// lands where --inject-report points. A faulting guest gets a FAIL row in
+// every sweep table, and a run without --engine uses the trace tier. The
+// confccd daemon's numeric flags are checked the same way against its real
+// binary (CONFCCD_PATH), and so are its startup line's worker count and its
+// SIGTERM drain: stats sinks written, exit 0.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -18,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -392,6 +394,45 @@ TEST(ConfccCli, LinkPrintsAFailedModulesErrorOnce) {
   EXPECT_EQ(r.output.find(needle, first + 1), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("module 'leaf' failed to compile"), std::string::npos)
       << r.output;
+}
+
+// Without --engine, confcc runs the guest on the trace tier.
+TEST(ConfccCli, DefaultEngineIsTrace) {
+  TempDir dir;
+  const std::string src = dir.File("p.mc");
+  WriteFile(src, kSource);
+  const auto r = RunConfcc("--time-passes " + src);
+  EXPECT_EQ(r.exit_code, 55) << r.output;
+  EXPECT_NE(r.output.find("\nvm engine: trace\n"), std::string::npos)
+      << r.output;
+}
+
+// A preset whose guest faults gets a FAIL row in the local sweep tables, as
+// it does through --connect: a source without `main` faults under all eight.
+TEST(ConfccCli, LocalSweepsPrintAFailRowForEveryFaultingPreset) {
+  TempDir dir;
+  const std::string src = dir.File("helper.mc");
+  WriteFile(src, "int helper() { return 3; }\n");
+  const std::multiset<std::string> kPresets = {
+      "Base",   "BaseOA", "Our1Mem",    "OurBare",
+      "OurCFI", "OurMPX", "OurMPX-Sep", "OurSeg"};
+  for (const std::string mode : {"", "--link "}) {
+    SCOPED_TRACE(mode);
+    const auto r = RunConfcc(mode + "--preset=all " + src);
+    EXPECT_EQ(r.exit_code, 1) << r.output;
+    std::multiset<std::string> failed;
+    std::istringstream lines(r.output);
+    for (std::string line; std::getline(lines, line);) {
+      std::istringstream row(line);
+      std::string preset;
+      std::string status;
+      std::string rest;
+      if (row >> preset >> status && status == "FAIL" && !(row >> rest)) {
+        failed.insert(preset);
+      }
+    }
+    EXPECT_EQ(failed, kPresets) << r.output;
+  }
 }
 
 // No daemon at the socket: a one-line diagnostic and exit 1, not a hang or

@@ -11,7 +11,8 @@
 //   - linked images are cached across requests (satellite: link-stage
 //     CacheKey chained over per-module codegen keys), and the link
 //     response's graph stats stay valid JSON for any module name;
-//   - an unknown engine or preset is an error response naming it;
+//   - an unknown engine or preset is an error response naming it, and a
+//     refused execute builds nothing;
 //   - every verb keeps its response members and error strings, and a
 //     failed linked build reports each module error once;
 //   - backpressure rejections are retryable `retry` responses, per-client
@@ -436,6 +437,8 @@ TEST_F(ConfccdServiceTest, LinkGraphJsonEscapesClientChosenModuleNames) {
 TEST_F(ConfccdServiceTest, UnknownEngineAndPresetAreNamedErrors) {
   // The daemon parses engine and preset names with the same functions as
   // confcc: an unknown one is a `status: error` response naming the value.
+  // Such a request, or an execute with bad args, is refused before it
+  // builds anything: the shared cache sees no lookup.
   ConfccdServer::Options opts;
   opts.sched.num_workers = 1;
   auto server = StartServer(std::move(opts));
@@ -451,10 +454,18 @@ TEST_F(ConfccdServiceTest, UnknownEngineAndPresetAreNamedErrors) {
   bad_compile.Set("verb", Json::Str("compile"));
   bad_compile.Set("source", Json::Str(kQuickSrc));
   bad_compile.Set("preset", Json::Str("OurMagic"));
+  Json bad_args = ExecuteRequest("tenant", kQuickSrc);
+  Json five = Json::Array();
+  for (uint64_t a = 1; a <= 5; ++a) {
+    five.Append(Json::UInt(a));
+  }
+  bad_args.Set("args", std::move(five));
   const std::pair<Json, std::string> cases[] = {
       {bad_engine, "unknown engine 'turbo'"},
       {bad_preset, "unknown preset 'OurMagic'"},
       {bad_compile, "unknown preset 'OurMagic'"},
+      {bad_args,
+       "execute: args must be an array of at most 4 unsigned integers"},
   };
   for (const auto& [req, msg] : cases) {
     SCOPED_TRACE(msg);
@@ -462,6 +473,8 @@ TEST_F(ConfccdServiceTest, UnknownEngineAndPresetAreNamedErrors) {
     ASSERT_TRUE(cli.CallWithRetry(req, &resp, &err)) << err;
     EXPECT_EQ(resp.GetString("status"), "error");
     EXPECT_EQ(resp.GetString("error"), msg);
+    const CacheStats cs = server->cache().stats();
+    EXPECT_EQ(cs.hits + cs.misses, 0u);
   }
   server->Stop();
 }

@@ -11,7 +11,8 @@
 // unit tests for the satellites: ExecImage block metadata (leaders across
 // jump/call/fault edges, fused pairs spanning block boundaries, promotion
 // under RunParallel), exact max_instrs enforcement, Memory::Map
-// end-address overflow, and the O(1) function-name index.
+// end-address overflow, the O(1) function-name index, and the default
+// engine (the trace tier, checked against ref on a promoting exec row).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -833,6 +834,42 @@ TEST(ExecImage, RefEngineDoesNotBuildOne)
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->compiled->prog->exec_image->built(), nullptr);
   EXPECT_EQ(s->vm->Call("main", {}).ret, 7u);
+}
+
+// ---- the default engine ----
+
+TEST(DefaultEngine, IsTheTraceTier) {
+  EXPECT_EQ(VmOptions{}.engine, VmEngine::kTrace);
+  EXPECT_EQ(VmOptions{}.trace_threshold, 1024u);
+}
+
+TEST(DefaultEngine, SessionWithoutOptionsMatchesRefOnAPromotingExecRow) {
+  // A session made without VmOptions runs the trace tier at its default
+  // threshold. mcf's hot loops cross that threshold, so promoted regions
+  // run, and the result must still equal the reference engine's under
+  // every preset the exec benchmark runs.
+  const auto* mcf = std::find_if(
+      kSpecKernels, kSpecKernels + kNumSpecKernels,
+      [](const auto& k) { return std::string(k.name) == "mcf"; });
+  ASSERT_NE(mcf, kSpecKernels + kNumSpecKernels);
+  for (BuildPreset preset :
+       {BuildPreset::kBase, BuildPreset::kOurMpx, BuildPreset::kOurSeg}) {
+    SCOPED_TRACE(PresetName(preset));
+    DiagEngine d1, d2;
+    auto def = MakeSession(mcf->source, preset, &d1);
+    auto ref =
+        MakeSession(mcf->source, preset, &d2, EngineOpts(VmEngine::kRef));
+    ASSERT_NE(def, nullptr) << d1.ToString();
+    ASSERT_NE(ref, nullptr) << d2.ToString();
+    const TraceTier* tier = def->vm->trace_tier();
+    ASSERT_NE(tier, nullptr);
+    const auto r = ref->vm->Call("main", {});
+    const auto t = def->vm->Call("main", {});
+    EXPECT_TRUE(r.ok) << r.fault_msg;
+    ExpectSameResult(r, t);
+    ExpectSameStats(*ref->vm, *def->vm);
+    EXPECT_GT(tier->stats.promoted_blocks, 0u);
+  }
 }
 
 }  // namespace

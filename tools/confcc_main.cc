@@ -12,7 +12,7 @@
 // --preset=all batch-compiles every §7.1/§7.2 configuration concurrently
 // (--jobs workers) through CompileBatch and reports one line per preset.
 // --engine selects the VM interpreter: the reference stepper, the
-// token-threaded fast engine (default), or the hot-block trace tier
+// token-threaded fast engine, or the hot-block trace tier (default)
 // (observable behaviour is identical on all three — see ARCHITECTURE.md
 // "Engine tiers"). --trace-threshold sets the per-block entry count at
 // which the trace tier promotes a block to a whole-block handler;
@@ -281,8 +281,8 @@ void FailRow(const char* preset) {
 }
 
 // The `preset ok cycles` table of the --link and --connect sweeps.
-// `run(preset, &cycles)` builds and runs one preset, printing that preset's
-// FAIL row itself where it calls for one; false counts a failure.
+// `run(preset, &cycles)` builds and runs one preset; false counts a failure
+// and prints that preset's FAIL row.
 int CyclesSweep(const std::function<bool(BuildPreset, uint64_t*)>& run) {
   fprintf(stderr, "%-12s%8s%14s\n", "preset", "ok", "cycles");
   int failures = 0;
@@ -290,6 +290,7 @@ int CyclesSweep(const std::function<bool(BuildPreset, uint64_t*)>& run) {
     uint64_t cycles = 0;
     if (!run(p, &cycles)) {
       ++failures;
+      FailRow(PresetName(p));
       continue;
     }
     fprintf(stderr, "%-12s%8s%14llu\n", PresetName(p), "ok",
@@ -335,6 +336,7 @@ int RunSweep(const std::string& source, const Options& opt) {
     RunReport r;
     if (!RunProgram(std::move(out.program), opt, label, false, &r)) {
       ++failures;
+      FailRow(label);
       continue;
     }
     fprintf(stderr, "%-12s%8s%10.2f%10llu%12zu%14llu\n", label, "ok",
@@ -444,12 +446,9 @@ int RunLink(const Options& opt) {
       row.Set("preset", Json::Str(PresetName(p)));
       row.Set("graph", stats.ToJson());
       graph_json.Append(std::move(row));
-      if (compiled == nullptr) {
-        FailRow(PresetName(p));
-        return false;
-      }
       RunReport r;
-      if (!RunProgram(std::move(compiled), opt, PresetName(p), false, &r)) {
+      if (compiled == nullptr ||
+          !RunProgram(std::move(compiled), opt, PresetName(p), false, &r)) {
         return false;
       }
       *cycles = r.cycles;
@@ -662,7 +661,6 @@ int RunConnect(const Options& opt) {
     rc = CyclesSweep([&](BuildPreset p, uint64_t* cycles) {
       RunReport r;
       if (run_one(PresetName(p), PresetName(p), &r) != 0) {
-        FailRow(PresetName(p));
         return false;
       }
       *cycles = r.cycles;
